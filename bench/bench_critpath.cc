@@ -6,7 +6,7 @@
 //
 //   artc_critpath --workload=iphoto_import [--storage=hdd] [--fs=ext4]
 //   artc_critpath --bench=path/to/file.artcb --json=report.json
-//   artc_critpath --all               # the whole Magritte suite, one pager each
+//   artc_critpath --all [--jobs=N]    # the whole Magritte suite, one pager each
 //   artc_critpath --micro=seq_readers --source=cfq-100ms --storage=cfq-1ms
 //                                     # the Fig. 5(d) scenario (EXPERIMENTS.md)
 #include <cstdio>
@@ -71,6 +71,7 @@ bool BoolFlag(int argc, char** argv, const char* name) {
 struct Options {
   SimTarget target;
   uint64_t seed = 1;
+  size_t jobs = 0;  // host workers for --all (0 = ARTC_JOBS / core count)
   std::string json_path;
 };
 
@@ -95,24 +96,29 @@ int PrintPager(const std::string& title, const CompiledBenchmark& bench,
   return 0;
 }
 
+// Magritte traces come from the suite's canonical source environment.
+TracedRun TraceMagritteSource(const MagritteSpec& spec, uint64_t seed) {
+  SourceConfig source;
+  source.storage = storage::MakeNamedConfig("ssd");
+  source.platform = "osx";
+  source.seed = seed;
+  return workloads::TraceMagritte(spec, source);
+}
+
 int AnalyzeOne(const std::string& title, const CompiledBenchmark& bench,
                const Options& opt) {
   SimReplayResult result = core::ReplayCompiledOnSimTarget(bench, opt.target);
   return PrintPager(title, bench, result, opt);
 }
 
-// --all on the parallel backend: trace every Magritte workload, compile them
-// on the host thread pool (--jobs), then replay the whole suite as one
-// sharded simulation — one shard per workload — and analyze each shard.
-int AnalyzeSuiteParallel(const Options& opt) {
+// --all: trace every Magritte workload, then compile and replay the whole
+// suite on the host thread pool (--jobs), one standalone simulation per
+// workload, and print the pagers in suite order.
+int AnalyzeSuite(const Options& opt) {
   const std::vector<MagritteSpec>& specs = workloads::MagritteSuite();
   std::vector<TracedRun> runs;
   for (const MagritteSpec& spec : specs) {
-    SourceConfig source;
-    source.storage = storage::MakeNamedConfig("ssd");
-    source.platform = "osx";
-    source.seed = opt.seed;
-    runs.push_back(workloads::TraceMagritte(spec, source));
+    runs.push_back(TraceMagritteSource(spec, opt.seed));
   }
   core::CompileOptions copt;
   copt.method = core::ReplayMethod::kArtc;
@@ -120,31 +126,24 @@ int AnalyzeSuiteParallel(const Options& opt) {
   for (const TracedRun& run : runs) {
     jobs.push_back(core::CompileJob{&run.trace, &run.snapshot, copt});
   }
-  util::ThreadPool pool(opt.target.jobs);
+  util::ThreadPool pool(opt.jobs);
   std::vector<CompiledBenchmark> benches = core::CompileSuite(jobs, &pool);
 
   std::vector<const CompiledBenchmark*> ptrs;
   for (const CompiledBenchmark& b : benches) {
     ptrs.push_back(&b);
   }
-  core::SuiteReplayResult suite = core::ReplaySuiteOnSimTarget(ptrs, opt.target);
+  std::vector<SimReplayResult> results = core::ReplaySuite(ptrs, opt.target, &pool);
 
   int rc = 0;
   for (size_t i = 0; i < benches.size(); ++i) {
-    rc |= PrintPager(specs[i].FullName(), benches[i], suite.runs[i], opt);
+    rc |= PrintPager(specs[i].FullName(), benches[i], results[i], opt);
   }
-  std::printf("suite: %zu workloads on %zu shards, %zu host workers\n",
-              benches.size(), suite.shards, suite.workers);
   return rc;
 }
 
 CompiledBenchmark CompileMagritte(const MagritteSpec& spec, uint64_t seed) {
-  // Magritte traces come from the suite's canonical source environment.
-  SourceConfig source;
-  source.storage = storage::MakeNamedConfig("ssd");
-  source.platform = "osx";
-  source.seed = seed;
-  TracedRun run = workloads::TraceMagritte(spec, source);
+  TracedRun run = TraceMagritteSource(spec, seed);
   core::CompileOptions copt;
   copt.method = core::ReplayMethod::kArtc;
   return core::Compile(std::move(run.trace), run.snapshot, copt);
@@ -191,12 +190,10 @@ int Main(int argc, char** argv) {
       !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
     obs::LogError("artc_critpath", "unknown --backend value",
                   {{"backend", backend},
-                   {"expected", "fibers, threads, or parallel"}});
+                   {"expected", "fibers or threads"}});
     return 2;
   }
-  // Host worker threads for compilation and the parallel backend
-  // (0 = ARTC_JOBS / core count).
-  opt.target.jobs = FlagValue(argc, argv, "jobs", 0);
+  opt.jobs = FlagValue(argc, argv, "jobs", 0);
   opt.json_path = StringFlag(argc, argv, "json", "");
 
   const std::string micro = StringFlag(argc, argv, "micro", "");
@@ -213,14 +210,7 @@ int Main(int argc, char** argv) {
   if (BoolFlag(argc, argv, "all")) {
     Options per = opt;
     per.json_path.clear();  // one pager per workload; JSON is single-run only
-    if (per.target.sim_backend == sim::SimBackend::kParallel) {
-      return AnalyzeSuiteParallel(per);
-    }
-    int rc = 0;
-    for (const MagritteSpec& spec : workloads::MagritteSuite()) {
-      rc |= AnalyzeOne(spec.FullName(), CompileMagritte(spec, opt.seed), per);
-    }
-    return rc;
+    return AnalyzeSuite(per);
   }
   const std::string workload =
       StringFlag(argc, argv, "workload", "iphoto_import");

@@ -1,18 +1,10 @@
-// Parallel-replay throughput harness for SimBackend::kParallel. Two phases,
-// one JSON object:
-//
-//  1. Parity: the 104k-action 16-thread synthetic trace replayed standalone
-//     on the fibers backend and on a single-shard kParallel simulation.
-//     Every virtual-time metric must match bit-for-bit (exit 1 otherwise) —
-//     the windowed engine with one shard IS the legacy engine.
-//
-//  2. Suite: N copies of the trace replayed as one sharded kParallel
-//     simulation (ReplaySuiteOnSimTarget, shard k seeded with
-//     ShardSeed(seed, k)) versus the serial oracle — a loop of N standalone
-//     fibers replays with the same derived seeds. Per-copy virtual metrics
-//     must again match exactly; the throughput ratio is the multi-core
-//     speedup (== 1 on a single-core host: worker count never changes
-//     virtual results, only wall time).
+// Suite-replay throughput harness: N copies of the 104k-action 16-thread
+// synthetic trace replayed with core::ReplaySuite on a host thread pool
+// (one standalone fiber simulation per copy per worker) versus a serial
+// loop of the same N standalone replays. Per-copy virtual metrics must
+// match exactly (exit 1 otherwise); the throughput ratio is the multi-core
+// speedup (== 1 on a single-core host: worker count never changes virtual
+// results, only wall time).
 //
 // Usage:
 //   bench_parallel_replay [--threads=N] [--reads=N] [--seed=N] [--copies=N]
@@ -29,6 +21,7 @@
 
 #include "bench/bench_common.h"
 #include "src/core/artc.h"
+#include "src/core/suite.h"
 #include "src/obs/obs.h"
 #include "src/sim/simulation.h"
 #include "src/util/thread_pool.h"
@@ -64,18 +57,6 @@ RunMetrics FromResult(const core::SimReplayResult& result) {
   m.virtual_end_ns = result.sim_end_time;
   m.replay_virtual_ns = result.report.wall_time;
   m.failed_events = result.report.failed_events;
-  return m;
-}
-
-RunMetrics TimeReplay(const core::CompiledBenchmark& bench, sim::SimBackend backend,
-                      uint64_t seed) {
-  core::SimTarget target;
-  target.seed = seed;
-  target.sim_backend = backend;
-  auto start = std::chrono::steady_clock::now();
-  core::SimReplayResult result = core::ReplayCompiledOnSimTarget(bench, target);
-  RunMetrics m = FromResult(result);
-  m.host_wall_ms = MsSince(start);
   return m;
 }
 
@@ -126,73 +107,55 @@ int Main(int argc, char** argv) {
   std::printf("  \"seed\": %llu,\n", static_cast<unsigned long long>(seed));
   std::printf("  \"copies\": %zu,\n", copies);
 
-  // Phase 1: single-replay parity, fibers vs single-shard kParallel.
-  RunMetrics fibers = TimeReplay(bench, sim::SimBackend::kFibers, seed);
-  RunMetrics parallel1 = TimeReplay(bench, sim::SimBackend::kParallel, seed);
-  const bool parity_match = SameVirtual(fibers, parallel1);
-  std::printf("  \"parity\": {\n");
-  PrintRun("fibers", fibers, actions, "    ", true);
-  PrintRun("parallel", parallel1, actions, "    ", true);
-  std::printf("    \"virtual_match\": %s\n", parity_match ? "true" : "false");
-  std::printf("  },\n");
-
-  // Phase 2: sharded suite vs the serial-loop oracle, same derived seeds.
   std::vector<const core::CompiledBenchmark*> benches(copies, &bench);
+  core::SimTarget target;
+  target.seed = seed;
+  target.sim_backend = sim::SimBackend::kFibers;
 
   auto serial_start = std::chrono::steady_clock::now();
   std::vector<RunMetrics> serial_runs;
   for (size_t k = 0; k < copies; ++k) {
-    core::SimTarget solo;
-    solo.seed = sim::Simulation::ShardSeed(seed, k);
-    solo.sim_backend = sim::SimBackend::kFibers;
-    serial_runs.push_back(FromResult(core::ReplayCompiledOnSimTarget(bench, solo)));
+    serial_runs.push_back(FromResult(core::ReplayCompiledOnSimTarget(bench, target)));
   }
   const double serial_ms = MsSince(serial_start);
 
-  core::SimTarget target;
-  target.seed = seed;
-  target.sim_backend = sim::SimBackend::kParallel;
-  target.jobs = jobs;
+  util::ThreadPool pool(jobs);
   auto suite_start = std::chrono::steady_clock::now();
-  core::SuiteReplayResult suite = core::ReplaySuiteOnSimTarget(benches, target);
+  std::vector<core::SimReplayResult> suite = core::ReplaySuite(benches, target, &pool);
   const double suite_ms = MsSince(suite_start);
 
-  bool suite_match = suite.runs.size() == copies;
+  bool suite_match = suite.size() == copies;
   RunMetrics serial_total, suite_total;
   serial_total.host_wall_ms = serial_ms;
   suite_total.host_wall_ms = suite_ms;
   for (size_t k = 0; k < copies && suite_match; ++k) {
-    RunMetrics shard = FromResult(suite.runs[k]);
-    suite_match = SameVirtual(shard, serial_runs[k]);
+    RunMetrics copy = FromResult(suite[k]);
+    suite_match = SameVirtual(copy, serial_runs[k]);
     serial_total.sim_switches += serial_runs[k].sim_switches;
     serial_total.failed_events += serial_runs[k].failed_events;
     serial_total.virtual_end_ns =
         std::max(serial_total.virtual_end_ns, serial_runs[k].virtual_end_ns);
     serial_total.replay_virtual_ns =
         std::max(serial_total.replay_virtual_ns, serial_runs[k].replay_virtual_ns);
-    suite_total.sim_switches += shard.sim_switches;
-    suite_total.failed_events += shard.failed_events;
+    suite_total.sim_switches += copy.sim_switches;
+    suite_total.failed_events += copy.failed_events;
     suite_total.virtual_end_ns =
-        std::max(suite_total.virtual_end_ns, shard.virtual_end_ns);
+        std::max(suite_total.virtual_end_ns, copy.virtual_end_ns);
     suite_total.replay_virtual_ns =
-        std::max(suite_total.replay_virtual_ns, shard.replay_virtual_ns);
+        std::max(suite_total.replay_virtual_ns, copy.replay_virtual_ns);
   }
 
   const size_t total_actions = actions * copies;
   std::printf("  \"suite\": {\n");
   PrintRun("serial_fibers", serial_total, total_actions, "    ", true);
   PrintRun("parallel", suite_total, total_actions, "    ", true);
-  std::printf("    \"workers\": %zu,\n", suite.workers);
-  std::printf("    \"windows\": %llu,\n",
-              static_cast<unsigned long long>(suite.windows));
-  std::printf("    \"messages\": %llu,\n",
-              static_cast<unsigned long long>(suite.messages));
+  std::printf("    \"workers\": %zu,\n", pool.worker_count());
   std::printf("    \"speedup_parallel_over_serial\": %.2f,\n",
               suite_ms > 0 ? serial_ms / suite_ms : 0.0);
   std::printf("    \"virtual_match\": %s\n", suite_match ? "true" : "false");
   std::printf("  }\n");
   std::printf("}\n");
-  return parity_match && suite_match ? 0 : 1;
+  return suite_match ? 0 : 1;
 }
 
 }  // namespace

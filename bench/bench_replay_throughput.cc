@@ -100,7 +100,7 @@ int Main(int argc, char** argv) {
   sim::SimBackend single_backend = sim::SimBackend::kFibers;
   if (which != "both" && !sim::ParseSimBackendName(which, &single_backend)) {
     std::fprintf(stderr,
-                 "unknown --backend=%s (expected fibers, threads, parallel, or both)\n",
+                 "unknown --backend=%s (expected fibers, threads, or both)\n",
                  which.c_str());
     return 2;
   }
@@ -130,10 +130,6 @@ int Main(int argc, char** argv) {
   if (ran_threads) {
     threads_run = TimeReplay(bench, sim::SimBackend::kThreads, seed);
     PrintBackendJson(threads_run, actions, /*trailing_comma=*/false);
-  }
-  if (which == "parallel") {
-    BackendRun parallel = TimeReplay(bench, sim::SimBackend::kParallel, seed);
-    PrintBackendJson(parallel, actions, /*trailing_comma=*/false);
   }
   std::printf("  ],\n");
 

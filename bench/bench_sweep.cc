@@ -5,7 +5,7 @@
 //     requires the host-time-free JSONL streams to match byte for byte —
 //     the engine's central determinism claim, gated in CI on every run.
 //  2. Emits one JSON object whose virtual aggregates (cell count, summed
-//     end/stall/exec times, digest XOR) are exact-gated by
+//     end/stall/exec times, combined cell digest) are exact-gated by
 //     compare_bench.py, with cells_per_sec as the normalized throughput
 //     metric.
 //
@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
           .count();
   sweep_once(1, &rows_serial, &serial_report);
   const bool jobs_match = rows_parallel == rows_serial &&
-                          report.digest_xor == serial_report.digest_xor;
+                          report.cells_digest == serial_report.cells_digest;
 
   std::printf("{\n");
   std::printf("  \"workload\": \"%s\",\n", plan.trace_name.c_str());
@@ -97,8 +97,8 @@ int Main(int argc, char** argv) {
               static_cast<long long>(report.stall_ns_sum));
   std::printf("  \"exec_ns_sum\": %lld,\n",
               static_cast<long long>(report.exec_ns_sum));
-  std::printf("  \"digest_xor\": \"%016llx\",\n",
-              static_cast<unsigned long long>(report.digest_xor));
+  std::printf("  \"cells_digest\": \"%016llx\",\n",
+              static_cast<unsigned long long>(report.cells_digest));
   std::printf("  \"host_wall_ms\": %.1f,\n", sweep_ms);
   std::printf("  \"cells_per_sec\": %.0f,\n",
               sweep_ms > 0 ? 1000.0 * static_cast<double>(report.cells) / sweep_ms

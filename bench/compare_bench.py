@@ -61,7 +61,7 @@ DETERMINISTIC_KEYS = (
     "end_ns_sum",
     "stall_ns_sum",
     "exec_ns_sum",
-    "digest_xor",
+    "cells_digest",
     "jobs_match",
 )
 

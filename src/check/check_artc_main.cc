@@ -109,11 +109,9 @@ int Main(int argc, char** argv) {
       !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
     obs::LogError("check_artc", "unknown --backend value",
                   {{"backend", backend},
-                   {"expected", "fibers, threads, or parallel"}});
+                   {"expected", "fibers or threads"}});
     return 2;
   }
-  // 0 = ARTC_JOBS / host core count; forwarded to the parallel backend.
-  opt.target.jobs = FlagValue(argc, argv, "jobs", 0);
 
   sim::ScheduleSpec repro_spec;
   if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {

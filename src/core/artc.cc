@@ -102,81 +102,6 @@ MultiReplayResult ReplayConcurrentlyOnSimTarget(
   return result;
 }
 
-SuiteReplayResult ReplaySuiteOnSimTarget(
-    const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target) {
-  if (target.obs) {
-    obs::Enable();
-  }
-  SuiteReplayResult result;
-  result.shards = benches.size();
-  if (benches.empty()) {
-    result.workers = 1;
-    return result;
-  }
-
-  sim::SimConfig config;
-  config.shards = benches.size();
-  config.workers = target.jobs;
-  // The shards are independent replays by construction — every spawn, join,
-  // and storage wait stays inside one shard — so their mutual lookahead is
-  // infinite: the whole suite is one window and each worker runs its shards
-  // to completion back-to-back with a single barrier. (Shards that *did*
-  // exchange joins would instead bound δ by the storage lookahead,
-  // storage::MinDeviceLatencyNs(target.storage); see DESIGN.md §5f.)
-  config.cross_shard_latency = sim::kInfiniteLookahead;
-  sim::Simulation sim(target.seed, target.sim_backend, config);
-
-  // Per-shard worlds. Policies must outlive Run(); stacks/envs are read for
-  // counters afterwards.
-  std::vector<std::unique_ptr<sim::SchedulePolicy>> policies(benches.size());
-  std::vector<std::unique_ptr<storage::StorageStack>> stacks;
-  std::vector<std::unique_ptr<vfs::Vfs>> fss;
-  std::vector<std::unique_ptr<SimReplayEnv>> envs;
-  result.runs.resize(benches.size());
-
-  for (size_t k = 0; k < benches.size(); ++k) {
-    sim::ScheduleSpec spec = target.schedule;
-    spec.seed = sim::Simulation::ShardSeed(spec.seed, k);
-    policies[k] = sim::MakeSchedulePolicy(spec);
-    sim.SetShardSchedulePolicy(k, policies[k].get());
-
-    stacks.push_back(std::make_unique<storage::StorageStack>(&sim, target.storage));
-    fss.push_back(std::make_unique<vfs::Vfs>(
-        &sim, stacks.back().get(), vfs::MakeFsProfile(target.fs_profile),
-        vfs::MakePlatformProfile(target.platform)));
-    envs.push_back(std::make_unique<SimReplayEnv>(&sim, fss.back().get(),
-                                                  target.emulation));
-
-    SimReplayResult& run = result.runs[k];
-    run.edge_stats = benches[k]->edge_stats;
-    run.model_warnings = benches[k]->model_warnings;
-    SimReplayEnv* env = envs.back().get();
-    storage::StorageStack* stack = stacks.back().get();
-    const CompiledBenchmark* bench = benches[k];
-    sim::SimThreadId init = sim.SpawnOnShard(k, "init", [env, bench, &target] {
-      env->Initialize(bench->snapshot, target.delta_init);
-    });
-    sim.SpawnOnShard(k, "harness", [&sim, init, stack, env, bench, &target, &run] {
-      sim.Join(init);
-      if (target.drop_caches_after_init) {
-        stack->DropCaches();
-      }
-      run.report = Replay(*bench, *env, target.replay);
-    });
-  }
-
-  result.end_time = sim.Run();
-  result.workers = sim.worker_count();
-  result.windows = sim.WindowCount();
-  result.messages = sim.MessagesDelivered();
-  for (size_t k = 0; k < benches.size(); ++k) {
-    result.runs[k].sim_end_time = sim.ShardNow(k);
-    result.runs[k].sim_switches = sim.ShardSwitchCount(k);
-    result.runs[k].storage = stacks[k]->Counters();
-  }
-  return result;
-}
-
 SimReplayResult ReplayOnSimTarget(const trace::Trace& t,
                                   const trace::FsSnapshot& snapshot,
                                   const CompileOptions& options,

@@ -39,10 +39,6 @@ struct SimTarget {
   sim::ScheduleSpec schedule;
   bool drop_caches_after_init = true;
   bool delta_init = false;
-  // Host worker threads for sim::SimBackend::kParallel suite replays
-  // (0 = util::DefaultJobs(), i.e. ARTC_JOBS or the core count). Ignored by
-  // single-shard replays and by the fibers/threads backends.
-  size_t jobs = 0;
   // Turns on the process-wide observability switch (obs::Enable) for this
   // replay, so instrumented spans/counters are collected even without
   // ARTC_TRACE_OUT in the environment. The caller still decides where the
@@ -96,29 +92,6 @@ struct MultiReplayResult {
   TimeNs wall_time = 0;
 };
 MultiReplayResult ReplayConcurrentlyOnSimTarget(
-    const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target);
-
-// Replays several compiled benchmarks as *independent* runs inside one
-// simulation, one shard per benchmark: each shard gets its own storage
-// stack, VFS, and replay environment, seeded with
-// sim::Simulation::ShardSeed(target.seed, shard). Shard k's virtual
-// timeline (timestamps, switch counts, storage counters) is bit-identical
-// to a standalone ReplayCompiledOnSimTarget with that derived seed — and,
-// under SimBackend::kParallel, independent of how many host workers
-// (`target.jobs`) execute the shards. This is the multi-core replay path:
-// throughput scales with min(jobs, benches.size()).
-struct SuiteReplayResult {
-  std::vector<SimReplayResult> runs;  // parallel to the input benchmarks
-  TimeNs end_time = 0;                // max shard end time
-  size_t shards = 0;
-  size_t workers = 0;                 // host workers actually used
-  // Window-machinery diagnostics: synchronization windows executed and
-  // cross-shard messages delivered (0 for an independent suite — its
-  // lookahead is infinite, so the whole run is one window).
-  uint64_t windows = 0;
-  uint64_t messages = 0;
-};
-SuiteReplayResult ReplaySuiteOnSimTarget(
     const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target);
 
 }  // namespace artc::core

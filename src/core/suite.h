@@ -1,13 +1,14 @@
-// Suite-level compilation: compile many traces concurrently on a host
-// thread pool. Each job is independent (the compiler shares no mutable
-// state), so this is a straight data-parallel map — the building block the
-// bench harnesses use to turn a 34-workload Magritte sweep into one
-// ThreadPool dispatch instead of a serial loop.
+// Suite-level compile and replay: many independent jobs mapped over a host
+// thread pool. Each job shares no mutable state with the others, so both
+// are straight data-parallel maps — the building blocks the bench harnesses
+// use to turn a 34-workload Magritte sweep into one ThreadPool dispatch
+// instead of a serial loop.
 #ifndef SRC_CORE_SUITE_H_
 #define SRC_CORE_SUITE_H_
 
 #include <vector>
 
+#include "src/core/artc.h"
 #include "src/core/compiled.h"
 #include "src/core/compiler.h"
 #include "src/trace/event.h"
@@ -30,6 +31,14 @@ struct CompileJob {
 // worker count or completion order.
 std::vector<CompiledBenchmark> CompileSuite(const std::vector<CompileJob>& jobs,
                                             util::ThreadPool* pool);
+
+// Replays every benchmark on `target`, each as its own standalone
+// simulation on a pool worker: element k is exactly
+// ReplayCompiledOnSimTarget(*benches[k], target). Same null-pool and
+// input-order contract as CompileSuite.
+std::vector<SimReplayResult> ReplaySuite(
+    const std::vector<const CompiledBenchmark*>& benches, const SimTarget& target,
+    util::ThreadPool* pool);
 
 }  // namespace artc::core
 

@@ -1,21 +1,10 @@
 #include "src/sim/simulation.h"
 
-#include <ucontext.h>
-
-#include <algorithm>
-#include <condition_variable>
-#include <cstdio>
-#include <deque>
 #include <exception>
-#include <mutex>
-#include <queue>
 #include <thread>
-#include <unordered_map>
 
 #include "src/obs/obs.h"
-#include "src/sim/mailbox.h"
 #include "src/util/check.h"
-#include "src/util/thread_pool.h"
 
 namespace artc::sim {
 namespace {
@@ -28,18 +17,13 @@ struct SimShutdown {};
 // Owned stack for one fiber. Replay threads call through the VFS and the
 // storage stack but nothing recursion-heavy; 512 KiB leaves a wide margin
 // while keeping even a 100-fiber simulation under ~50 MB. Stacks go back to
-// the shard's pool when their thread finishes, so peak RSS tracks the
+// the simulation's pool when their thread finishes, so peak RSS tracks the
 // maximum number of *live* threads, not the total ever spawned.
 constexpr size_t kFiberStackBytes = 512 * 1024;
 
-// ScheduleCallback ids carry their shard in the high bits so CancelCallback
-// can find the owning shard without a search. Shard 0 ids are the plain
-// counter values the single-shard engine always returned.
-constexpr int kCallbackShardShift = 40;
-
-constexpr uint64_t MakeCallbackId(uint32_t shard, uint64_t local) {
-  return (static_cast<uint64_t>(shard) << kCallbackShardShift) | local;
-}
+// Thread ids double as virtual-time trace track ids, so they stay below the
+// obs pseudo-tracks (I/O scheduler, critpath overlay).
+constexpr size_t kMaxThreads = obs::kIoSchedulerTrack;
 
 }  // namespace
 
@@ -52,18 +36,13 @@ struct PendingEvent {
   bool cancelled;
 };
 
-namespace {
-
-struct EventCompare {
-  bool operator()(const PendingEvent* a, const PendingEvent* b) const {
-    if (a->when != b->when) {
-      return a->when > b->when;
-    }
-    return a->seq > b->seq;
+bool Simulation::EventCompare::operator()(const PendingEvent* a,
+                                          const PendingEvent* b) const {
+  if (a->when != b->when) {
+    return a->when > b->when;
   }
-};
-
-}  // namespace
+  return a->seq > b->seq;
+}
 
 struct ThreadState {
   enum class Run { kReady, kRunning, kBlocked, kDone };
@@ -72,109 +51,31 @@ struct ThreadState {
   std::string name;
   std::function<void()> body;
   Run state = Run::kReady;
-  std::vector<ThreadState*> joiners;       // same-shard joiners
-  std::vector<SimThreadId> cross_joiners;  // cross-shard joiners, notified
-                                           // through the mailbox on finish
+  std::vector<ThreadState*> joiners;
   Simulation* sim = nullptr;
-  Shard* shard = nullptr;
 
-  // Host-thread contexts.
+  // Host-thread backend.
   std::thread host;
 
-  // Fiber contexts. The stack comes from the shard pool lazily on first
-  // schedule, so spawned-but-never-run threads cost only this record.
+  // Fiber backend. The stack comes from the pool lazily on first schedule,
+  // so spawned-but-never-run threads cost only this record.
   ucontext_t ctx;
   std::unique_ptr<char[]> stack;
   bool fiber_started = false;
 };
 
-// One scheduler shard: an independent virtual time domain with its own
-// clock, RNG stream, run queue, event queue, and — under kParallel — host
-// worker. Everything the pre-kParallel Simulation kept as direct members
-// lives here now; a single-shard simulation is one Shard driven by the
-// original scheduler loop.
-struct Shard {
-  Shard(Simulation* simulation, uint32_t shard_index, uint64_t seed)
-      : sim(simulation), index(shard_index), rng(seed) {}
-
-  Simulation* sim;
-  uint32_t index;
-  TimeNs now = 0;
-  Rng rng;
-  SchedulePolicy* policy = nullptr;      // non-owning
-  std::vector<SimThreadId> policy_ids;   // scratch for policy candidate lists
-  uint64_t seq = 0;
-  uint64_t switches = 0;
-  uint64_t next_callback_id = 1;
-  uint64_t sends = 0;  // cross-shard messages sent (deterministic sort key)
-
-  std::vector<std::unique_ptr<ThreadState>> threads;
-  std::vector<ThreadState*> ready;
-  std::priority_queue<PendingEvent*, std::vector<PendingEvent*>, EventCompare> events;
-  // Owns every PendingEvent ever allocated; bounded by the maximum number of
-  // events simultaneously outstanding (completed ones are recycled through
-  // free_events, so a long run does not grow this without bound).
-  std::deque<std::unique_ptr<PendingEvent>> event_pool;
-  std::vector<PendingEvent*> free_events;
-  std::unordered_map<uint64_t, PendingEvent*> live_callbacks;
-
-  // Fiber contexts: the shard scheduler's own context; fibers resume it when
-  // they yield or finish (also the uc_link of every fiber). Its contents are
-  // refreshed by every swap *from* the currently driving host thread, which
-  // is what lets the destructor unwind fibers that last ran on a worker.
-  ucontext_t sched_ctx;
-  // Stacks of finished threads, reused by later spawns.
-  std::vector<std::unique_ptr<char[]>> free_stacks;
-  size_t stacks_allocated = 0;
-  size_t stacks_in_use = 0;
-
-  // Host-thread contexts: synchronization implementing the shard-local run
-  // token (one token per shard — shards of a kParallel simulation switch
-  // independently).
-  std::mutex token_mu;
-  std::condition_variable token_cv;
-  ThreadState* running = nullptr;  // simulated thread holding the token
-  bool scheduler_turn = true;
-
-  // Incoming cross-shard messages, drained at window barriers.
-  ShardMailbox inbox;
-
-  // Lazily-registered per-shard metric ids (kParallel introspection: which
-  // shards carry the load, and how much host time each one burns).
-  obs::MetricId obs_windows{};
-  obs::MetricId obs_busy_ns{};
-  bool obs_ids_ready = false;
-};
-
 namespace {
 
-// The simulated thread currently executing on this host thread. With fiber
-// contexts everything belonging to a shard runs on the host thread driving
-// that shard, so the scheduler updates this around every fiber switch; with
-// host-thread contexts each simulated thread sets it once from its own host
-// thread.
+// The simulated thread currently executing on this host thread. With fibers
+// everything runs on the host thread that called Run(), so the scheduler
+// updates this around every fiber switch; with host threads each simulated
+// thread sets it once from its own host thread.
 thread_local ThreadState* g_current = nullptr;
 
 // Argument hand-off into a starting fiber: makecontext's entry function
 // takes no usable pointer argument, so FiberSwitchTo parks the target here
 // immediately before the first swap into it.
 thread_local ThreadState* g_fiber_launch = nullptr;
-
-// The shard whose scheduler loop is executing on this host thread. Gives
-// scheduler-context callbacks (device completions, timers) their shard for
-// Now()/rng()/ScheduleCallback without a current thread.
-thread_local Shard* g_active_shard = nullptr;
-
-class ScopedActiveShard {
- public:
-  explicit ScopedActiveShard(Shard* s) : prev_(g_active_shard) { g_active_shard = s; }
-  ~ScopedActiveShard() { g_active_shard = prev_; }
-  ScopedActiveShard(const ScopedActiveShard&) = delete;
-  ScopedActiveShard& operator=(const ScopedActiveShard&) = delete;
-
- private:
-  Shard* prev_;
-};
 
 }  // namespace
 
@@ -192,7 +93,7 @@ void Simulation::FiberMain(ThreadState* t) {
     aborted = true;
   }
   FinishThread(t, aborted);
-  // Returning ends the fiber; uc_link resumes the shard scheduler context.
+  // Returning ends the fiber; uc_link resumes the scheduler context.
 }
 
 SimBackend DefaultSimBackend() {
@@ -208,8 +109,6 @@ bool ParseSimBackendName(const std::string& name, SimBackend* out) {
     *out = SimBackend::kFibers;
   } else if (name == "threads") {
     *out = SimBackend::kThreads;
-  } else if (name == "parallel") {
-    *out = SimBackend::kParallel;
   } else {
     return false;
   }
@@ -222,190 +121,56 @@ const char* SimBackendName(SimBackend backend) {
       return "fibers";
     case SimBackend::kThreads:
       return "threads";
-    case SimBackend::kParallel:
-      return "parallel";
   }
   return "?";
 }
 
-bool Simulation::UsesFiberContexts() const {
-  switch (backend_) {
-    case SimBackend::kFibers:
-      return true;
-    case SimBackend::kThreads:
-      return false;
-    case SimBackend::kParallel:
-      // Sanitizer builds (TSan cannot follow swapcontext) run kParallel on
-      // host-thread contexts: same shard/window/mailbox machinery, same
-      // schedule, real synchronization TSan can see.
-#ifdef ARTC_SIM_DEFAULT_BACKEND_THREADS
-      return false;
-#else
-      return true;
-#endif
-  }
-  return true;
-}
-
-uint64_t Simulation::ShardSeed(uint64_t seed, size_t shard) {
-  if (shard == 0) {
-    return seed;  // single-shard bit-compatibility with the original engine
-  }
-  // splitmix64 over (seed, shard) for independent per-shard streams.
-  uint64_t z = seed + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(shard);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-Simulation::Simulation(uint64_t seed, SimBackend backend, SimConfig config)
-    : backend_(backend), config_(config) {
-  ARTC_CHECK_MSG(config_.shards >= 1, "SimConfig::shards must be >= 1");
-  ARTC_CHECK_MSG(config_.shards <= (1u << (32 - kShardIdShift)),
-                 "SimConfig::shards exceeds the thread-id shard field");
-  ARTC_CHECK_MSG(config_.cross_shard_latency > 0,
-                 "cross-shard latency must be positive (it is the window margin)");
-  shards_.reserve(config_.shards);
-  for (size_t k = 0; k < config_.shards; ++k) {
-    shards_.push_back(std::make_unique<Shard>(this, static_cast<uint32_t>(k),
-                                              ShardSeed(seed, k)));
-  }
-}
+Simulation::Simulation(uint64_t seed, SimBackend backend)
+    : backend_(backend), rng_(seed) {}
 
 Simulation::~Simulation() {
   shutdown_.store(true);
-  if (UsesFiberContexts()) {
+  if (backend_ == SimBackend::kFibers) {
     // Resume every unfinished fiber so it throws SimShutdown out of its
     // blocking primitive, unwinding its stack (running destructors) before
     // the stacks are freed. Index-based: an unwinding destructor may Spawn.
-    // Safe on this host thread even for fibers that last ran on a worker:
-    // the swap refreshes sched_ctx (the uc_link target) in place.
-    for (auto& sp : shards_) {
-      Shard* s = sp.get();
-      ScopedActiveShard active(s);
-      for (size_t i = 0; i < s->threads.size(); ++i) {
-        ThreadState* t = s->threads[i].get();
-        if (t->fiber_started && t->state != ThreadState::Run::kDone) {
-          FiberSwitchTo(s, t);
-        }
+    for (size_t i = 0; i < threads_.size(); ++i) {
+      ThreadState* t = threads_[i].get();
+      if (t->fiber_started && t->state != ThreadState::Run::kDone) {
+        FiberSwitchTo(t);
       }
     }
     return;
   }
-  for (auto& sp : shards_) {
-    std::lock_guard<std::mutex> lk(sp->token_mu);
-    sp->token_cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(token_mu_);
+    token_cv_.notify_all();
   }
-  for (auto& sp : shards_) {
-    for (auto& t : sp->threads) {
-      if (t->host.joinable()) {
-        t->host.join();
-      }
+  for (auto& t : threads_) {
+    if (t->host.joinable()) {
+      t->host.join();
     }
   }
 }
 
-Shard* Simulation::ActiveShard() const {
-  if (g_current != nullptr && g_current->sim == this) {
-    return g_current->shard;
-  }
-  if (g_active_shard != nullptr && g_active_shard->sim == this) {
-    return g_active_shard;
-  }
-  return shards_[0].get();
-}
-
-Shard* Simulation::ShardAt(size_t i) const {
-  ARTC_CHECK(i < shards_.size());
-  return shards_[i].get();
-}
-
-size_t Simulation::shard_count() const { return shards_.size(); }
-
-TimeNs Simulation::Now() const { return ActiveShard()->now; }
-
-TimeNs Simulation::ShardNow(size_t shard) const { return ShardAt(shard)->now; }
-
-Rng& Simulation::rng() { return ActiveShard()->rng; }
-
-void Simulation::SetSchedulePolicy(SchedulePolicy* policy) {
-  shards_[0]->policy = policy;
-}
-
-SchedulePolicy* Simulation::schedule_policy() const { return shards_[0]->policy; }
-
-void Simulation::SetShardSchedulePolicy(size_t shard, SchedulePolicy* policy) {
-  ShardAt(shard)->policy = policy;
-}
-
-uint64_t Simulation::switch_count() const {
-  uint64_t n = 0;
-  for (const auto& sp : shards_) {
-    n += sp->switches;
-  }
-  return n;
-}
-
-uint64_t Simulation::ShardSwitchCount(size_t shard) const {
-  return ShardAt(shard)->switches;
-}
-
-size_t Simulation::allocated_event_count() const {
-  size_t n = 0;
-  for (const auto& sp : shards_) {
-    n += sp->event_pool.size();
-  }
-  return n;
-}
-
-size_t Simulation::FiberStacksAllocated() const {
-  size_t n = 0;
-  for (const auto& sp : shards_) {
-    n += sp->stacks_allocated;
-  }
-  return n;
-}
-
-size_t Simulation::FiberStacksInUse() const {
-  size_t n = 0;
-  for (const auto& sp : shards_) {
-    n += sp->stacks_in_use;
-  }
-  return n;
-}
-
 SimThreadId Simulation::Spawn(std::string name, std::function<void()> body) {
-  return SpawnOn(ActiveShard(), std::move(name), std::move(body));
-}
-
-SimThreadId Simulation::SpawnOnShard(size_t shard, std::string name,
-                                     std::function<void()> body) {
-  ARTC_CHECK_MSG(g_current == nullptr && g_active_shard == nullptr,
-                 "SpawnOnShard is host-side only (threads spawn onto their own "
-                 "shard with Spawn)");
-  return SpawnOn(ShardAt(shard), std::move(name), std::move(body));
-}
-
-SimThreadId Simulation::SpawnOn(Shard* s, std::string name, std::function<void()> body) {
-  ARTC_CHECK_MSG(s->threads.size() < kLocalThreadMask,
-                 "per-shard simulated thread limit exceeded");
+  ARTC_CHECK_MSG(threads_.size() < kMaxThreads, "simulated thread limit exceeded");
   auto t = std::make_unique<ThreadState>();
-  t->id = PackThreadId(s->index, static_cast<uint32_t>(s->threads.size()));
+  t->id = static_cast<SimThreadId>(threads_.size());
   t->name = std::move(name);
   t->body = std::move(body);
   t->sim = this;
-  t->shard = s;
   t->state = ThreadState::Run::kReady;
   ThreadState* raw = t.get();
-  s->threads.push_back(std::move(t));
-  s->ready.push_back(raw);
+  threads_.push_back(std::move(t));
+  ready_.push_back(raw);
   ARTC_OBS_IF_ENABLED {
     // Label the simulated thread's virtual-time track ("replay-3", "init",
     // ...) so trace viewers show sim thread names, not bare ids.
     obs::DefaultTracer().SetTrackName(obs::ClockDomain::kVirtual, raw->id,
                                       raw->name);
   }
-  if (!UsesFiberContexts()) {
+  if (backend_ == SimBackend::kThreads) {
     raw->host = std::thread([this, raw] { HostThreadMain(raw); });
   }
   return raw->id;
@@ -416,59 +181,53 @@ void Simulation::FinishThread(ThreadState* t, bool aborted) {
   if (aborted) {
     return;  // shutdown unwind: joiners are unwound separately
   }
-  Shard* s = t->shard;
   for (ThreadState* j : t->joiners) {
     ARTC_CHECK(j->state == ThreadState::Run::kBlocked);
     j->state = ThreadState::Run::kReady;
-    s->ready.push_back(j);
+    ready_.push_back(j);
   }
   t->joiners.clear();
-  for (SimThreadId joiner : t->cross_joiners) {
-    SendJoinDone(s, joiner);
-  }
-  t->cross_joiners.clear();
 }
 
-// ---- Fiber contexts ----
+// ---- Fiber backend ----
 
-void Simulation::FiberSwitchTo(Shard* s, ThreadState* t) {
+void Simulation::FiberSwitchTo(ThreadState* t) {
   if (!t->fiber_started) {
-    if (!s->free_stacks.empty()) {
-      t->stack = std::move(s->free_stacks.back());
-      s->free_stacks.pop_back();
+    if (!free_stacks_.empty()) {
+      t->stack = std::move(free_stacks_.back());
+      free_stacks_.pop_back();
     } else {
       t->stack = std::make_unique<char[]>(kFiberStackBytes);
-      s->stacks_allocated++;
+      stacks_allocated_++;
     }
-    s->stacks_in_use++;
+    stacks_in_use_++;
     ARTC_CHECK(getcontext(&t->ctx) == 0);
     t->ctx.uc_stack.ss_sp = t->stack.get();
     t->ctx.uc_stack.ss_size = kFiberStackBytes;
-    t->ctx.uc_link = &s->sched_ctx;
+    t->ctx.uc_link = &sched_ctx_;
     makecontext(&t->ctx, &Simulation::FiberEntry, 0);
     t->fiber_started = true;
     g_fiber_launch = t;
   }
   g_current = t;
-  ARTC_CHECK(swapcontext(&s->sched_ctx, &t->ctx) == 0);
+  ARTC_CHECK(swapcontext(&sched_ctx_, &t->ctx) == 0);
   g_current = nullptr;
   if (t->state == ThreadState::Run::kDone && t->stack != nullptr) {
     // The fiber ran to completion (or unwound) and resumed us through
-    // uc_link; its stack is dead and goes back to the shard pool.
-    s->free_stacks.push_back(std::move(t->stack));
-    s->stacks_in_use--;
+    // uc_link; its stack is dead and goes back to the pool.
+    free_stacks_.push_back(std::move(t->stack));
+    stacks_in_use_--;
   }
 }
 
-// ---- Host-thread contexts ----
+// ---- Host-thread backend ----
 
 void Simulation::HostThreadMain(ThreadState* t) {
-  Shard* s = t->shard;
   // Wait to be scheduled for the first time.
   {
-    std::unique_lock<std::mutex> lk(s->token_mu);
-    s->token_cv.wait(lk, [&] {
-      return (s->running == t && !s->scheduler_turn) || shutdown_.load();
+    std::unique_lock<std::mutex> lk(token_mu_);
+    token_cv_.wait(lk, [&] {
+      return (running_ == t && !scheduler_turn_) || shutdown_.load();
     });
     if (shutdown_.load()) {
       t->state = ThreadState::Run::kDone;
@@ -484,434 +243,137 @@ void Simulation::HostThreadMain(ThreadState* t) {
   }
   FinishThread(t, aborted);
   if (!aborted) {
-    // Hand the token back to the shard scheduler permanently.
-    std::lock_guard<std::mutex> lk(s->token_mu);
-    s->running = nullptr;
-    s->scheduler_turn = true;
-    s->token_cv.notify_all();
+    // Hand the token back to the scheduler permanently.
+    std::lock_guard<std::mutex> lk(token_mu_);
+    running_ = nullptr;
+    scheduler_turn_ = true;
+    token_cv_.notify_all();
   }
 }
 
-void Simulation::HostThreadSwitchTo(Shard* s, ThreadState* t) {
-  std::unique_lock<std::mutex> lk(s->token_mu);
-  s->running = t;
-  s->scheduler_turn = false;
-  s->token_cv.notify_all();
-  s->token_cv.wait(lk, [&] { return s->scheduler_turn; });
+void Simulation::HostThreadSwitchTo(ThreadState* t) {
+  std::unique_lock<std::mutex> lk(token_mu_);
+  running_ = t;
+  scheduler_turn_ = false;
+  token_cv_.notify_all();
+  token_cv_.wait(lk, [&] { return scheduler_turn_; });
 }
 
 // ---- Shared scheduler ----
 
-size_t Simulation::ChooseIndex(Shard* s, ChoicePoint point,
+size_t Simulation::ChooseIndex(ChoicePoint point,
                                const std::vector<ThreadState*>& candidates) {
   const size_t n = candidates.size();
   if (n == 1) {
     return 0;
   }
-  if (s->policy == nullptr) {
-    return s->rng.NextBelow(n);
+  if (policy_ == nullptr) {
+    return rng_.NextBelow(n);
   }
-  s->policy_ids.clear();
+  policy_ids_.clear();
   for (ThreadState* t : candidates) {
-    s->policy_ids.push_back(t->id);
+    policy_ids_.push_back(t->id);
   }
-  size_t pick = s->policy->Pick(point, s->policy_ids.data(), n, s->rng);
+  size_t pick = policy_->Pick(point, policy_ids_.data(), n, rng_);
   ARTC_CHECK_MSG(pick < n, "schedule policy returned an out-of-range pick");
   return pick;
 }
 
-ThreadState* Simulation::PickReady(Shard* s) {
-  ARTC_CHECK(!s->ready.empty());
-  size_t idx = ChooseIndex(s, ChoicePoint::kRun, s->ready);
-  ThreadState* t = s->ready[idx];
-  s->ready[idx] = s->ready.back();
-  s->ready.pop_back();
+ThreadState* Simulation::PickReady() {
+  ARTC_CHECK(!ready_.empty());
+  size_t idx = ChooseIndex(ChoicePoint::kRun, ready_);
+  ThreadState* t = ready_[idx];
+  ready_[idx] = ready_.back();
+  ready_.pop_back();
   return t;
 }
 
-void Simulation::RunThread(Shard* s, ThreadState* t) {
-  s->switches++;
+void Simulation::RunThread(ThreadState* t) {
+  switches_++;
   ARTC_OBS_COUNT("sim.context_switches", 1);
-  // Depth includes the thread being dispatched, so an idle shard with one
-  // runnable thread observes 1, matching run-queue-depth convention.
-  ARTC_OBS_OBSERVE("sim.run_queue_depth", s->ready.size() + 1);
+  // Depth includes the thread being dispatched, so an idle scheduler with
+  // one runnable thread observes 1, matching run-queue-depth convention.
+  ARTC_OBS_OBSERVE("sim.run_queue_depth", ready_.size() + 1);
   t->state = ThreadState::Run::kRunning;
-  if (UsesFiberContexts()) {
-    FiberSwitchTo(s, t);
+  if (backend_ == SimBackend::kFibers) {
+    FiberSwitchTo(t);
   } else {
-    HostThreadSwitchTo(s, t);
+    HostThreadSwitchTo(t);
   }
 }
 
-namespace {
-
-PendingEvent* AllocEvent(Shard* s) {
-  if (!s->free_events.empty()) {
-    PendingEvent* ev = s->free_events.back();
-    s->free_events.pop_back();
+PendingEvent* Simulation::AllocEvent() {
+  if (!free_events_.empty()) {
+    PendingEvent* ev = free_events_.back();
+    free_events_.pop_back();
     return ev;
   }
-  s->event_pool.push_back(std::make_unique<PendingEvent>());
-  return s->event_pool.back().get();
+  event_pool_.push_back(std::make_unique<PendingEvent>());
+  return event_pool_.back().get();
 }
 
-void ReleaseEvent(Shard* s, PendingEvent* ev) {
+void Simulation::ReleaseEvent(PendingEvent* ev) {
   ev->thread = nullptr;
   ev->callback = nullptr;  // drop captured state now, not at teardown
   ev->callback_id = 0;
   ev->cancelled = false;
-  s->free_events.push_back(ev);
-}
-
-}  // namespace
-
-void Simulation::RunShardWindow(Shard* s, TimeNs horizon) {
-  // Host-clock-only introspection: per-shard window and busy-time counters.
-  // Virtual time is never read here, so scrapes cannot perturb the replay.
-  int64_t obs_t0 = 0;
-  ARTC_OBS_IF_ENABLED {
-    if (!s->obs_ids_ready) {
-      char name[48];
-      std::snprintf(name, sizeof(name), "sim.shard.%u.windows", s->index);
-      s->obs_windows = obs::DefaultRegistry().Counter(name);
-      std::snprintf(name, sizeof(name), "sim.shard.%u.busy_ns", s->index);
-      s->obs_busy_ns = obs::DefaultRegistry().Counter(name);
-      s->obs_ids_ready = true;
-    }
-    obs_t0 = obs::DefaultTracer().HostNowNs();
-  }
-  // Exactly the original scheduler loop, bounded: ready threads first, then
-  // due events, stopping (instead of finishing) once the next event lies at
-  // or beyond the horizon. kNoWork as the horizon is the unbounded original.
-  while (true) {
-    if (!s->ready.empty()) {
-      RunThread(s, PickReady(s));
-      continue;
-    }
-    if (s->events.empty()) {
-      break;
-    }
-    PendingEvent* ev = s->events.top();
-    if (ev->cancelled) {
-      s->events.pop();
-      ReleaseEvent(s, ev);
-      continue;
-    }
-    if (ev->when >= horizon) {
-      break;
-    }
-    s->events.pop();
-    ARTC_CHECK(ev->when >= s->now);
-    s->now = ev->when;
-    if (ev->thread != nullptr) {
-      ARTC_CHECK(ev->thread->state == ThreadState::Run::kBlocked);
-      ev->thread->state = ThreadState::Run::kReady;
-      s->ready.push_back(ev->thread);
-      ReleaseEvent(s, ev);
-    } else if (ev->callback) {
-      s->live_callbacks.erase(ev->callback_id);
-      auto fn = std::move(ev->callback);
-      ReleaseEvent(s, ev);
-      fn();
-    }
-  }
-  ARTC_OBS_IF_ENABLED {
-    obs::DefaultRegistry().Add(s->obs_windows, 1);
-    obs::DefaultRegistry().Add(s->obs_busy_ns,
-                               obs::DefaultTracer().HostNowNs() - obs_t0);
-  }
-}
-
-TimeNs Simulation::NextDispatchTime(Shard* s) {
-  if (!s->ready.empty()) {
-    return s->now;
-  }
-  while (!s->events.empty() && s->events.top()->cancelled) {
-    PendingEvent* ev = s->events.top();
-    s->events.pop();
-    ReleaseEvent(s, ev);
-  }
-  if (s->events.empty()) {
-    return kNoWork;
-  }
-  return s->events.top()->when;
-}
-
-bool Simulation::DeliverMessages(std::vector<TimeNs>* next_dispatch) {
-  bool any = false;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard* s = shards_[i].get();
-    std::vector<ShardMessage> msgs = s->inbox.DrainSorted();
-    if (msgs.empty()) {
-      continue;
-    }
-    any = true;
-    ARTC_OBS_OBSERVE("sim.mailbox_depth", msgs.size());
-    ARTC_OBS_COUNT("sim.messages_delivered", msgs.size());
-    for (const ShardMessage& m : msgs) {
-      messages_delivered_++;
-      // The horizon rule guarantees this: effect = sender time + δ >= the
-      // window horizon, and no shard processed anything at or past it.
-      ARTC_CHECK_MSG(m.effect >= s->now,
-                     "cross-shard message would land in the receiver's past");
-      PendingEvent* ev = AllocEvent(s);
-      ev->when = m.effect;
-      ev->seq = s->seq++;
-      ev->thread = nullptr;
-      ShardMessage copy = m;
-      ev->callback = [this, s, copy] { ApplyMessage(s, copy); };
-      ev->callback_id = 0;  // not cancellable
-      ev->cancelled = false;
-      s->events.push(ev);
-    }
-    if (next_dispatch != nullptr) {
-      (*next_dispatch)[i] = NextDispatchTime(s);
-    }
-  }
-  if (any) {
-    ARTC_OBS_COUNT("sim.cross_shard_messages", 1);
-  }
-  return any;
-}
-
-void Simulation::ApplyMessage(Shard* s, const ShardMessage& m) {
-  switch (m.kind) {
-    case ShardMessage::Kind::kJoinRequest: {
-      const uint32_t local = LocalIndexOfThread(m.target);
-      ARTC_CHECK(local < s->threads.size());
-      ThreadState* target = s->threads[local].get();
-      if (target->state == ThreadState::Run::kDone) {
-        SendJoinDone(s, m.joiner);
-      } else {
-        target->cross_joiners.push_back(m.joiner);
-      }
-      break;
-    }
-    case ShardMessage::Kind::kJoinDone: {
-      const uint32_t local = LocalIndexOfThread(m.joiner);
-      ARTC_CHECK(local < s->threads.size());
-      WakeThread(s->threads[local].get());
-      break;
-    }
-  }
-}
-
-void Simulation::SendJoinDone(Shard* from, SimThreadId joiner) {
-  Shard* to = ShardAt(ShardOfThread(joiner));
-  ShardMessage m;
-  m.kind = ShardMessage::Kind::kJoinDone;
-  m.effect = from->now + config_.cross_shard_latency;
-  m.from_shard = from->index;
-  m.from_seq = from->sends++;
-  m.joiner = joiner;
-  to->inbox.Push(m);
-}
-
-// Barrier state for the kParallel worker team. Workers wake on a generation
-// bump, run one window for each shard they own, and report back; the
-// coordinator (the Run() caller) computes horizons and drains mailboxes
-// strictly between windows.
-struct Simulation::WorkerTeam {
-  std::mutex mu;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  uint64_t generation = 0;
-  size_t pending = 0;
-  TimeNs horizon = 0;
-  // Cached per-shard next-dispatch times, owned by the coordinator; workers
-  // read it during a window (the coordinator never writes between the
-  // generation bump and the done barrier) to skip shards with nothing due.
-  const std::vector<TimeNs>* next_dispatch = nullptr;
-  bool exiting = false;
-  std::vector<std::thread> threads;
-};
-
-TimeNs Simulation::RunWindowed() {
-  const size_t shard_n = shards_.size();
-  size_t workers = 1;
-  if (backend_ == SimBackend::kParallel) {
-    workers = config_.workers != 0 ? config_.workers : util::DefaultJobs();
-    workers = std::min(workers, shard_n);
-    if (workers == 0) {
-      workers = 1;
-    }
-  }
-  workers_used_ = workers;
-
-  WorkerTeam team;
-  if (workers > 1) {
-    team.threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      // Static shard→worker map: worker w owns shards w, w+N, w+2N, ...
-      // Shard state may still move between host threads (single-active-shard
-      // windows run on the coordinator below) — safe because a shard's
-      // sched_ctx is refreshed on every resume and the barrier serializes
-      // all of a shard's windows.
-      team.threads.emplace_back([this, &team, w, workers] {
-        uint64_t seen = 0;
-        while (true) {
-          TimeNs horizon;
-          const std::vector<TimeNs>* next_dispatch;
-          {
-            std::unique_lock<std::mutex> lk(team.mu);
-            team.start_cv.wait(lk, [&] { return team.generation != seen || team.exiting; });
-            if (team.exiting) {
-              return;
-            }
-            seen = team.generation;
-            horizon = team.horizon;
-            next_dispatch = team.next_dispatch;
-          }
-          for (size_t i = w; i < shards_.size(); i += workers) {
-            if ((*next_dispatch)[i] >= horizon) {
-              continue;  // nothing due below the horizon
-            }
-            Shard* s = shards_[i].get();
-            ScopedActiveShard active(s);
-            RunShardWindow(s, horizon);
-          }
-          {
-            std::lock_guard<std::mutex> lk(team.mu);
-            if (--team.pending == 0) {
-              team.done_cv.notify_one();
-            }
-          }
-        }
-      });
-    }
-  }
-
-  // Cached next-dispatch time per shard. A shard's entry can only change
-  // when the shard runs a window or receives a message, so each round
-  // recomputes just those — the common sparse window (one shard with work,
-  // everyone else far in the future) costs O(active shards), not O(shards).
-  std::vector<TimeNs> next_dispatch(shard_n);
-  for (size_t i = 0; i < shard_n; ++i) {
-    next_dispatch[i] = NextDispatchTime(shards_[i].get());
-  }
-
-  while (true) {
-    // Conservative horizon: the earliest any shard could dispatch next,
-    // plus δ. Every cross-shard effect generated inside the window lands at
-    // sender-time + δ >= horizon, so windows never interact below it.
-    TimeNs next = kNoWork;
-    for (TimeNs t : next_dispatch) {
-      next = std::min(next, t);
-    }
-    if (next == kNoWork) {
-      if (!DeliverMessages(&next_dispatch)) {
-        break;  // no runnable work anywhere and no mail in flight: done
-      }
-      continue;
-    }
-    const TimeNs horizon = (next > kNoWork - config_.cross_shard_latency)
-                               ? kNoWork
-                               : next + config_.cross_shard_latency;
-    windows_++;
-    ARTC_OBS_COUNT("sim.windows", 1);
-    size_t active = 0;
-    for (TimeNs t : next_dispatch) {
-      active += t < horizon ? 1 : 0;
-    }
-    ARTC_OBS_OBSERVE("sim.window_active_shards", active);
-    if (horizon != kNoWork) {
-      ARTC_OBS_OBSERVE("sim.window_span_ns", horizon - next);
-    }
-    if (workers > 1 && active > 1) {
-      {
-        std::lock_guard<std::mutex> lk(team.mu);
-        team.horizon = horizon;
-        team.next_dispatch = &next_dispatch;
-        team.pending = workers;
-        team.generation++;
-        team.start_cv.notify_all();
-      }
-      // Coordinator-side barrier wait: how long the slowest worker holds the
-      // window open, on the host clock.
-      int64_t obs_wait0 = 0;
-      ARTC_OBS_IF_ENABLED { obs_wait0 = obs::DefaultTracer().HostNowNs(); }
-      std::unique_lock<std::mutex> lk(team.mu);
-      team.done_cv.wait(lk, [&] { return team.pending == 0; });
-      ARTC_OBS_OBSERVE("sim.barrier_wait_ns",
-                       obs::DefaultTracer().HostNowNs() - obs_wait0);
-    } else {
-      // One active shard (or a sequential run): skip the barrier round-trip
-      // and run inline on this thread.
-      for (size_t i = 0; i < shard_n; ++i) {
-        if (next_dispatch[i] >= horizon) {
-          continue;
-        }
-        Shard* s = shards_[i].get();
-        ScopedActiveShard active_shard(s);
-        RunShardWindow(s, horizon);
-      }
-    }
-    size_t refreshed = 0;
-    for (size_t i = 0; i < shard_n; ++i) {
-      if (next_dispatch[i] < horizon) {
-        next_dispatch[i] = NextDispatchTime(shards_[i].get());
-        refreshed++;
-      }
-    }
-    // How much the cached next-dispatch vector saves: refreshes per window
-    // vs shard count is the sparse-window win.
-    ARTC_OBS_COUNT("sim.next_dispatch_refreshes", refreshed);
-    DeliverMessages(&next_dispatch);
-  }
-
-  if (workers > 1) {
-    {
-      std::lock_guard<std::mutex> lk(team.mu);
-      team.exiting = true;
-      team.start_cv.notify_all();
-    }
-    for (std::thread& th : team.threads) {
-      th.join();
-    }
-  }
-
-  TimeNs end = 0;
-  for (auto& sp : shards_) {
-    end = std::max(end, sp->now);
-  }
-  return end;
+  free_events_.push_back(ev);
 }
 
 TimeNs Simulation::Run() {
   ARTC_CHECK_MSG(g_current == nullptr, "Run() must be called from the host thread");
-  if (shards_.size() == 1) {
-    // The original single-shard engine: one unbounded window, no barriers,
-    // no mailboxes (a lone shard can never receive one, whatever the
-    // backend). Bit-compatible with every pre-kParallel run.
-    Shard* s = shards_[0].get();
-    ScopedActiveShard active(s);
-    RunShardWindow(s, kNoWork);
-    return s->now;
+  // Ready threads first, then due events, until both run dry.
+  while (true) {
+    if (!ready_.empty()) {
+      RunThread(PickReady());
+      continue;
+    }
+    if (events_.empty()) {
+      break;
+    }
+    PendingEvent* ev = events_.top();
+    events_.pop();
+    if (ev->cancelled) {
+      ReleaseEvent(ev);
+      continue;
+    }
+    ARTC_CHECK(ev->when >= now_);
+    now_ = ev->when;
+    if (ev->thread != nullptr) {
+      ARTC_CHECK(ev->thread->state == ThreadState::Run::kBlocked);
+      ev->thread->state = ThreadState::Run::kReady;
+      ready_.push_back(ev->thread);
+      ReleaseEvent(ev);
+    } else if (ev->callback) {
+      live_callbacks_.erase(ev->callback_id);
+      auto fn = std::move(ev->callback);
+      ReleaseEvent(ev);
+      fn();
+    }
   }
-  return RunWindowed();
+  return now_;
 }
 
 void Simulation::YieldToScheduler(ThreadState* t, bool runnable_again) {
-  Shard* s = t->shard;
   if (runnable_again) {
     t->state = ThreadState::Run::kReady;
-    s->ready.push_back(t);
+    ready_.push_back(t);
   } else {
     t->state = ThreadState::Run::kBlocked;
   }
-  if (UsesFiberContexts()) {
-    ARTC_CHECK(swapcontext(&t->ctx, &s->sched_ctx) == 0);
+  if (backend_ == SimBackend::kFibers) {
+    ARTC_CHECK(swapcontext(&t->ctx, &sched_ctx_) == 0);
     if (shutdown_.load()) {
       throw SimShutdown{};
     }
     return;
   }
-  std::unique_lock<std::mutex> lk(s->token_mu);
-  s->running = nullptr;
-  s->scheduler_turn = true;
-  s->token_cv.notify_all();
-  s->token_cv.wait(lk, [&] {
-    return (s->running == t && !s->scheduler_turn) || shutdown_.load();
+  std::unique_lock<std::mutex> lk(token_mu_);
+  running_ = nullptr;
+  scheduler_turn_ = true;
+  token_cv_.notify_all();
+  token_cv_.wait(lk, [&] {
+    return (running_ == t && !scheduler_turn_) || shutdown_.load();
   });
   if (shutdown_.load()) {
     throw SimShutdown{};
@@ -921,14 +383,13 @@ void Simulation::YieldToScheduler(ThreadState* t, bool runnable_again) {
 void Simulation::Sleep(TimeNs duration) {
   ARTC_CHECK(duration >= 0);
   ThreadState* t = CurrentState();
-  Shard* s = t->shard;
-  PendingEvent* ev = AllocEvent(s);
-  ev->when = s->now + duration;
-  ev->seq = s->seq++;
+  PendingEvent* ev = AllocEvent();
+  ev->when = now_ + duration;
+  ev->seq = seq_++;
   ev->thread = t;
   ev->callback_id = 0;
   ev->cancelled = false;
-  s->events.push(ev);
+  events_.push(ev);
   YieldToScheduler(t, /*runnable_again=*/false);
 }
 
@@ -952,70 +413,41 @@ ThreadState* Simulation::CurrentState() const {
 }
 
 void Simulation::Join(SimThreadId tid) {
-  const uint32_t shard_idx = ShardOfThread(tid);
-  ARTC_CHECK(shard_idx < shards_.size());
-  Shard* target_shard = shards_[shard_idx].get();
-  const uint32_t local = LocalIndexOfThread(tid);
+  ARTC_CHECK(tid < threads_.size());
   ThreadState* self = CurrentState();
-  if (target_shard == self->shard) {
-    ARTC_CHECK(local < target_shard->threads.size());
-    ThreadState* target = target_shard->threads[local].get();
-    if (target->state == ThreadState::Run::kDone) {
-      return;
-    }
-    target->joiners.push_back(self);
-    BlockCurrent();
+  ThreadState* target = threads_[tid].get();
+  if (target->state == ThreadState::Run::kDone) {
     return;
   }
-  // Cross-shard join: ask the target's shard (δ away) whether the thread is
-  // done; the answer — immediate or at finish — travels back as a kJoinDone
-  // that wakes us. Both hops go through the window-boundary mailboxes.
-  ARTC_CHECK_MSG(config_.cross_shard_latency < kInfiniteLookahead,
-                 "cross-shard Join in a simulation whose shards were declared "
-                 "independent (cross_shard_latency = kInfiniteLookahead)");
-  Shard* s = self->shard;
-  ShardMessage m;
-  m.kind = ShardMessage::Kind::kJoinRequest;
-  m.effect = s->now + config_.cross_shard_latency;
-  m.from_shard = s->index;
-  m.from_seq = s->sends++;
-  m.joiner = self->id;
-  m.target = tid;
-  target_shard->inbox.Push(m);
+  target->joiners.push_back(self);
   BlockCurrent();
 }
 
 uint64_t Simulation::ScheduleCallback(TimeNs when, std::function<void()> fn) {
-  Shard* s = ActiveShard();
-  ARTC_CHECK(when >= s->now);
-  PendingEvent* ev = AllocEvent(s);
+  ARTC_CHECK(when >= now_);
+  PendingEvent* ev = AllocEvent();
   ev->when = when;
-  ev->seq = s->seq++;
+  ev->seq = seq_++;
   ev->thread = nullptr;
   ev->callback = std::move(fn);
-  ev->callback_id = MakeCallbackId(s->index, s->next_callback_id++);
+  ev->callback_id = next_callback_id_++;
   ev->cancelled = false;
   uint64_t id = ev->callback_id;
-  s->live_callbacks[id] = ev;
-  s->events.push(ev);
+  live_callbacks_[id] = ev;
+  events_.push(ev);
   return id;
 }
 
 bool Simulation::CancelCallback(uint64_t id) {
-  const size_t shard_idx = static_cast<size_t>(id >> kCallbackShardShift);
-  ARTC_CHECK(shard_idx < shards_.size());
-  Shard* s = shards_[shard_idx].get();
-  ARTC_CHECK_MSG(s == ActiveShard(),
-                 "callbacks may only be cancelled from their own shard");
-  auto it = s->live_callbacks.find(id);
-  if (it == s->live_callbacks.end()) {
+  auto it = live_callbacks_.find(id);
+  if (it == live_callbacks_.end()) {
     return false;
   }
   // The event stays in the queue (lazy deletion) and is recycled when
   // popped, but the callback's captures are released immediately.
   it->second->cancelled = true;
   it->second->callback = nullptr;
-  s->live_callbacks.erase(it);
+  live_callbacks_.erase(it);
   return true;
 }
 
@@ -1023,32 +455,23 @@ void Simulation::WakeThread(ThreadState* t) {
   if (shutdown_.load()) {
     return;  // unwinding destructors may notify already-unwound threads
   }
-  Shard* s = t->shard;
-  ARTC_CHECK_MSG(s == ActiveShard(),
-                 "cross-shard WakeThread is not allowed; cross-shard effects "
-                 "route through the window mailboxes");
   ARTC_CHECK(t->state == ThreadState::Run::kBlocked);
   t->state = ThreadState::Run::kReady;
-  s->ready.push_back(t);
+  ready_.push_back(t);
 }
 
 size_t Simulation::UnfinishedThreads() const {
   size_t n = 0;
-  for (const auto& sp : shards_) {
-    for (const auto& t : sp->threads) {
-      if (t->state != ThreadState::Run::kDone) {
-        n++;
-      }
+  for (const auto& t : threads_) {
+    if (t->state != ThreadState::Run::kDone) {
+      n++;
     }
   }
   return n;
 }
 
 void SimCondVar::Wait() {
-  ThreadState* self = sim_->CurrentState();
-  ARTC_CHECK_MSG(waiters_.empty() || waiters_.front()->shard == self->shard,
-                 "SimCondVar waiters must all live on one shard");
-  waiters_.push_back(self);
+  waiters_.push_back(sim_->CurrentState());
   sim_->BlockCurrent();
 }
 
@@ -1056,7 +479,7 @@ void SimCondVar::NotifyOne() {
   if (waiters_.empty()) {
     return;
   }
-  size_t idx = sim_->ChooseIndex(waiters_.front()->shard, ChoicePoint::kWake, waiters_);
+  size_t idx = sim_->ChooseIndex(ChoicePoint::kWake, waiters_);
   ThreadState* t = waiters_[idx];
   waiters_[idx] = waiters_.back();
   waiters_.pop_back();

@@ -1,14 +1,14 @@
 // Discrete-event simulation engine with blocking-style simulated threads.
 //
 // Every performance experiment in this repository runs in virtual time on
-// this engine. Within one *shard* (time domain) only one simulated thread
-// executes at any instant: the shard's scheduler transfers control to
-// exactly one runnable thread and waits for it to yield (by blocking on a
-// simulated primitive, sleeping, or finishing). This lets application
-// models, the VFS, and the trace replayer be written in plain blocking
-// style while virtual time advances deterministically.
+// this engine. Only one simulated thread executes at any instant: the
+// scheduler transfers control to exactly one runnable thread and waits for
+// it to yield (by blocking on a simulated primitive, sleeping, or
+// finishing). This lets application models, the VFS, and the trace
+// replayer be written in plain blocking style while virtual time advances
+// deterministically.
 //
-// Three backends implement that transfer:
+// Two backends implement that transfer:
 //
 //  - kFibers (default): every simulated thread is a user-space stackful
 //    coroutine (ucontext) with its own owned stack, all running on the one
@@ -19,35 +19,34 @@
 //    wakeups per simulated switch. Kept as a differential-testing oracle
 //    for the fiber backend (and for sanitizers that cannot follow stack
 //    switching, e.g. TSan).
-//  - kParallel: the simulation is partitioned into SimConfig::shards
-//    independent scheduler shards, each with its own virtual clock, run
-//    queue, event queue, and RNG stream, distributed over N host worker
-//    cores (shard i runs on worker i % N — the explicit core→shard map).
-//    Shards advance in lockstep *windows* bounded by a conservative global
-//    horizon (minimum next-dispatch time across shards plus the cross-shard
-//    latency δ); cross-shard completions route through per-shard MPSC
-//    mailboxes drained at window boundaries (src/sim/mailbox.h). Because
-//    every cross-shard effect lands at least δ in the receiver's future,
-//    the result is bit-identical regardless of worker count — including
-//    worker count 1, which is how the single-threaded backends double as
-//    the parallel backend's exactness oracle. See DESIGN.md §5f.
 //
-// All backends share the per-shard scheduler itself (ready list, event
-// queue, RNG), so a run is bit-identical across backends: same seed, same
-// schedule, same virtual end time, same switch count.
+// Both backends share the scheduler itself (ready list, event queue, RNG),
+// so a run is bit-identical across backends: same seed, same schedule, same
+// virtual end time, same switch count.
 //
-// Determinism: a run is a pure function of (program, seed, SimConfig). When
-// several threads are runnable at the same virtual instant, the shard picks
-// one with its seeded RNG — this models OS scheduling nondeterminism, and
+// One Simulation is one serial time domain. Host parallelism comes from
+// running many independent simulations at once, one per util::ThreadPool
+// worker (core::ReplaySuite, the sweep engine); see DESIGN.md §5f.
+//
+// Determinism: a run is a pure function of (program, seed). When several
+// threads are runnable at the same virtual instant, the scheduler picks one
+// with its seeded RNG — this models OS scheduling nondeterminism, and
 // varying the seed explores different interleavings of the same program.
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <ucontext.h>
+
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <queue>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -57,73 +56,34 @@ namespace artc::sim {
 
 class Simulation;
 
-// Identifies a simulated thread: shard index in the high bits, dense
-// per-shard index in the low bits. Shard 0 ids are plain 0,1,2,..., so a
-// single-shard simulation (every simulation before SimConfig existed) sees
-// the same ids it always did.
+// Identifies a simulated thread: its dense spawn index within its
+// simulation (0, 1, 2, ...).
 using SimThreadId = uint32_t;
 inline constexpr SimThreadId kInvalidThread = UINT32_MAX;
 
-// Bit 20 is reserved for obs pseudo-tracks (I/O scheduler, critpath
-// overlay), so shard packing starts one bit above.
-inline constexpr uint32_t kShardIdShift = 21;
-inline constexpr SimThreadId kLocalThreadMask = (1u << kShardIdShift) - 1;
-
-constexpr uint32_t ShardOfThread(SimThreadId id) { return id >> kShardIdShift; }
-constexpr uint32_t LocalIndexOfThread(SimThreadId id) { return id & kLocalThreadMask; }
-constexpr SimThreadId PackThreadId(uint32_t shard, uint32_t local) {
-  return (shard << kShardIdShift) | local;
-}
+// The dense per-simulation index of a thread, for callers that keep
+// per-thread vectors.
+constexpr uint32_t LocalIndexOfThread(SimThreadId id) { return id; }
 
 // Context-switch backend for a Simulation instance.
 enum class SimBackend : uint8_t {
-  kFibers,    // user-space stackful coroutines (one host thread total)
-  kThreads,   // one host OS thread per simulated thread, condvar token
-  kParallel,  // sharded windowed execution across host worker threads
+  kFibers,   // user-space stackful coroutines (one host thread total)
+  kThreads,  // one host OS thread per simulated thread, condvar token
 };
 
 // The build-selected default backend (CMake option ARTC_SIM_BACKEND,
 // "fibers" unless configured otherwise).
 SimBackend DefaultSimBackend();
 
-// Parses "fibers" / "threads" / "parallel" (the CLI --backend= vocabulary);
-// returns false on anything else, leaving *out untouched.
+// Parses "fibers" / "threads" (the CLI --backend= vocabulary); returns
+// false on anything else, leaving *out untouched.
 bool ParseSimBackendName(const std::string& name, SimBackend* out);
 const char* SimBackendName(SimBackend backend);
 
-// Sharding/worker configuration. Only consulted beyond the defaults by
-// multi-shard simulations; the zero-argument default is exactly the
-// pre-kParallel engine.
-struct SimConfig {
-  // Independent scheduler shards (virtual time domains). Threads never
-  // migrate between shards; see SpawnOnShard.
-  size_t shards = 1;
-  // Host worker threads for kParallel. 0 picks util::DefaultJobs()
-  // (ARTC_JOBS / hardware_concurrency); always capped at `shards`.
-  // Worker count never affects virtual-time results, only host wall time.
-  size_t workers = 0;
-  // δ: the minimum virtual-time latency of any cross-shard effect, and
-  // therefore the width margin of every synchronization window. Larger
-  // values mean fewer window barriers; the value is part of the simulated
-  // semantics (a cross-shard join completion travels δ), so it must be
-  // identical between runs being compared. Callers with storage-backed
-  // shards typically widen this to the device's minimum service latency
-  // (StorageStack lookahead); callers whose shards provably never interact
-  // set kInfiniteLookahead instead — see DESIGN.md §5f.
-  TimeNs cross_shard_latency = Us(5);
-};
-
-// Sentinel for SimConfig::cross_shard_latency declaring the shards fully
-// independent (no cross-shard joins will ever be issued): the horizon
-// becomes unbounded, so the whole run is a single window and each worker
-// runs its shards to completion with exactly one barrier. Cross-shard Join
-// under this sentinel is a programming error and aborts.
-inline constexpr TimeNs kInfiniteLookahead = INT64_MAX / 2;
-
 // Internal per-thread record. Exposed only so SimCondVar can hold pointers.
 struct ThreadState;
-// Internal per-shard scheduler state (defined in simulation.cc).
-struct Shard;
+// Internal scheduler event record (defined in simulation.cc).
+struct PendingEvent;
 
 // The two kinds of scheduler choice point a SchedulePolicy can override.
 enum class ChoicePoint : uint8_t {
@@ -133,8 +93,8 @@ enum class ChoicePoint : uint8_t {
 
 // Overrides the scheduler's seeded-random choices; see src/sim/schedule.h
 // for implementations. Pick() is called only when n >= 2 and must return an
-// index < n. `sim_rng` is the owning shard's stream: a policy may draw
-// from it (perturbing downstream seeded decisions exactly like the default
+// index < n. `sim_rng` is the simulation's stream: a policy may draw from
+// it (perturbing downstream seeded decisions exactly like the default
 // scheduler would) or keep a private stream and leave it untouched.
 class SchedulePolicy {
  public:
@@ -145,9 +105,7 @@ class SchedulePolicy {
 
 // A condition variable for simulated threads. All waits are in virtual time;
 // there is no spurious wakeup, but users should still re-check predicates
-// because another thread may run between notify and wakeup. All waiters and
-// notifiers must live on the same shard (cross-shard signalling goes
-// through the mailbox protocol, not condvars).
+// because another thread may run between notify and wakeup.
 class SimCondVar {
  public:
   explicit SimCondVar(Simulation* simulation) : sim_(simulation) {}
@@ -166,9 +124,9 @@ class SimCondVar {
   std::vector<ThreadState*> waiters_;
 };
 
-// A mutex for simulated threads. Execution within a shard is serialized by
-// the run token, so this exists to model *contention* (waiting in virtual
-// time), not to protect memory.
+// A mutex for simulated threads. Execution is serialized by the run token,
+// so this exists to model *contention* (waiting in virtual time), not to
+// protect memory.
 class SimMutex {
  public:
   explicit SimMutex(Simulation* simulation) : sim_(simulation), cv_(simulation) {}
@@ -205,48 +163,25 @@ class SimBarrier {
 
 class Simulation {
  public:
-  explicit Simulation(uint64_t seed, SimBackend backend = DefaultSimBackend(),
-                      SimConfig config = SimConfig{});
+  explicit Simulation(uint64_t seed, SimBackend backend = DefaultSimBackend());
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  // Current virtual time of the calling context's shard: the calling
-  // simulated thread's shard, the shard whose window is executing (for
-  // scheduler callbacks), or shard 0 from the host.
-  TimeNs Now() const;
-
-  // Virtual clock of one shard (host-side; e.g. after Run()).
-  TimeNs ShardNow(size_t shard) const;
+  // Current virtual time.
+  TimeNs Now() const { return now_; }
 
   // Backend this instance was constructed with.
   SimBackend backend() const { return backend_; }
 
-  size_t shard_count() const;
-  // Host workers the last Run() actually used (1 until Run is called).
-  size_t worker_count() const { return workers_used_; }
-
-  // The seed of shard `shard` in a simulation seeded with `seed`: shard 0
-  // keeps the root seed (single-shard bit-compatibility), other shards get
-  // an independent splitmix-derived stream. Public so suite harnesses can
-  // construct a standalone single-shard run that is bit-identical to one
-  // shard of a multi-shard run.
-  static uint64_t ShardSeed(uint64_t seed, size_t shard);
-
-  // Creates a simulated thread on the calling context's shard (shard 0 from
-  // the host). May be called before Run() or from within a running
-  // simulated thread; the new thread becomes runnable at the shard's
+  // Creates a simulated thread. May be called before Run() or from within a
+  // running simulated thread; the new thread becomes runnable at the
   // current virtual time.
   SimThreadId Spawn(std::string name, std::function<void()> body);
 
-  // Creates a simulated thread on a specific shard. Host-side only (before
-  // Run()); once running, threads may only spawn onto their own shard.
-  SimThreadId SpawnOnShard(size_t shard, std::string name, std::function<void()> body);
-
-  // Runs the simulation until no runnable threads or pending events remain
-  // on any shard and no cross-shard messages are in flight. Must be called
-  // from the host (non-simulated) thread. Returns the final virtual time
-  // (the maximum across shards).
+  // Runs the simulation until no runnable threads or pending events remain.
+  // Must be called from the host (non-simulated) thread. Returns the final
+  // virtual time.
   TimeNs Run();
 
   // ---- Calls below are only legal from within a simulated thread. ----
@@ -262,60 +197,46 @@ class Simulation {
   SimThreadId CurrentThread() const;
   const std::string& CurrentThreadName() const;
 
-  // Joins a simulated thread (blocks the caller in virtual time). Joining
-  // across shards is legal and costs at least one cross-shard latency δ
-  // each way (the completion notification travels through the mailbox).
+  // Joins a simulated thread (blocks the caller in virtual time).
   void Join(SimThreadId tid);
 
   // ---- Callable from anywhere inside the simulation. ----
 
-  // Schedules fn to run in scheduler context of the calling context's shard
-  // at virtual time `when` (>= Now()). Callbacks must not block; they may
-  // wake threads and schedule further callbacks. Returns an id usable with
-  // CancelCallback.
+  // Schedules fn to run in scheduler context at virtual time `when`
+  // (>= Now()). Callbacks must not block; they may wake threads and
+  // schedule further callbacks. Returns an id usable with CancelCallback.
   uint64_t ScheduleCallback(TimeNs when, std::function<void()> fn);
   // Best-effort cancel; returns false if already fired or unknown.
   bool CancelCallback(uint64_t id);
 
-  // Makes a blocked thread runnable at the current virtual time. The thread
-  // must belong to the calling context's shard.
+  // Makes a blocked thread runnable at the current virtual time.
   void WakeThread(ThreadState* t);
 
-  // Seeded RNG of the calling context's shard; also available to workloads
-  // that want reproducible randomness tied to the run.
-  Rng& rng();
+  // The simulation's seeded RNG; also available to workloads that want
+  // reproducible randomness tied to the run.
+  Rng& rng() { return rng_; }
 
-  // Installs a schedule policy on shard 0 (non-owning; caller keeps it
-  // alive for the simulation's lifetime). nullptr restores the built-in
-  // seeded-random scheduler — a run with no policy is bit-identical to one
-  // never set. Install before Run(); switching mid-run is legal but rarely
-  // useful.
-  void SetSchedulePolicy(SchedulePolicy* policy);
-  SchedulePolicy* schedule_policy() const;
-  // Per-shard policies for multi-shard simulations (host-side, pre-Run).
-  void SetShardSchedulePolicy(size_t shard, SchedulePolicy* policy);
+  // Installs a schedule policy (non-owning; caller keeps it alive for the
+  // simulation's lifetime). nullptr restores the built-in seeded-random
+  // scheduler — a run with no policy is bit-identical to one never set.
+  // Install before Run(); switching mid-run is legal but rarely useful.
+  void SetSchedulePolicy(SchedulePolicy* policy) { policy_ = policy; }
+  SchedulePolicy* schedule_policy() const { return policy_; }
 
-  // Total context switches performed across all shards (diagnostics).
-  uint64_t switch_count() const;
-  // Context switches one shard performed.
-  uint64_t ShardSwitchCount(size_t shard) const;
+  // Total context switches performed (diagnostics).
+  uint64_t switch_count() const { return switches_; }
 
   // Number of PendingEvent records ever allocated (diagnostics). Completed
   // and cancelled events are recycled, so this tracks the maximum number of
   // *simultaneously outstanding* events, not the total scheduled.
-  size_t allocated_event_count() const;
+  size_t allocated_event_count() const { return event_pool_.size(); }
 
-  // Fiber-stack pool diagnostics (kFibers contexts). Stacks are returned to
-  // a per-shard free pool when their thread finishes and are reused by later
-  // spawns, so `allocated` is the high-water mark of concurrently *live*
-  // threads, not the total ever spawned.
-  size_t FiberStacksAllocated() const;
-  size_t FiberStacksInUse() const;
-
-  // Cross-shard mailbox messages delivered and synchronization windows
-  // executed (diagnostics; 0 for single-shard non-parallel runs).
-  uint64_t MessagesDelivered() const { return messages_delivered_; }
-  uint64_t WindowCount() const { return windows_; }
+  // Fiber-stack pool diagnostics (kFibers). Stacks are returned to a free
+  // pool when their thread finishes and are reused by later spawns, so
+  // `allocated` is the high-water mark of concurrently *live* threads, not
+  // the total ever spawned.
+  size_t FiberStacksAllocated() const { return stacks_allocated_; }
+  size_t FiberStacksInUse() const { return stacks_in_use_; }
 
   // Number of simulated threads that have not run to completion. Nonzero
   // after Run() indicates a deadlock in the simulated program.
@@ -326,56 +247,66 @@ class Simulation {
  private:
   friend class SimCondVar;
   friend class SimMutex;
-  struct WorkerTeam;
 
-  // Sentinel "no event / unbounded horizon" virtual time.
-  static constexpr TimeNs kNoWork = INT64_MAX;
+  struct EventCompare {
+    bool operator()(const PendingEvent* a, const PendingEvent* b) const;
+  };
 
-  Shard* ActiveShard() const;    // calling context's shard (see Now())
-  Shard* ShardAt(size_t i) const;
-  SimThreadId SpawnOn(Shard* s, std::string name, std::function<void()> body);
-
-  void RunThread(Shard* s, ThreadState* t);  // scheduler: transfer control
+  void RunThread(ThreadState* t);  // scheduler: transfer control
   void YieldToScheduler(ThreadState* t, bool runnable_again);
   void FinishThread(ThreadState* t, bool aborted);  // body returned/unwound
-  ThreadState* PickReady(Shard* s);
-  // One scheduler choice among `candidates` (all on shard s): policy pick
-  // if installed, otherwise the shard's seeded-random draw. n == 1
-  // short-circuits to 0 without consuming randomness.
-  size_t ChooseIndex(Shard* s, ChoicePoint point,
-                     const std::vector<ThreadState*>& candidates);
-
-  // Windowed execution (multi-shard and kParallel).
-  TimeNs RunWindowed();
-  // Processes shard work strictly below `horizon` (ready threads first,
-  // then due events), exactly the legacy scheduler loop when horizon is
-  // kNoWork. Runs with the shard marked active on the calling host thread.
-  void RunShardWindow(Shard* s, TimeNs horizon);
-  TimeNs NextDispatchTime(Shard* s);   // kNoWork when the shard is idle
-  // Drains every mailbox into its shard's event queue; true if any message
-  // landed. Refreshes receiving shards' entries in *next_dispatch when given.
-  bool DeliverMessages(std::vector<TimeNs>* next_dispatch = nullptr);
-  void ApplyMessage(Shard* s, const struct ShardMessage& m);
-  void SendJoinDone(Shard* from, SimThreadId joiner);
+  ThreadState* PickReady();
+  // One scheduler choice among `candidates`: policy pick if installed,
+  // otherwise the seeded-random draw. n == 1 short-circuits to 0 without
+  // consuming randomness.
+  size_t ChooseIndex(ChoicePoint point, const std::vector<ThreadState*>& candidates);
+  PendingEvent* AllocEvent();
+  void ReleaseEvent(PendingEvent* ev);
 
   // Fiber backend.
   static void FiberEntry();            // makecontext entry point
-  void FiberSwitchTo(Shard* s, ThreadState* t);  // scheduler/destructor -> fiber
+  void FiberSwitchTo(ThreadState* t);  // scheduler/destructor -> fiber
   void FiberMain(ThreadState* t);      // fiber trampoline body
-  bool UsesFiberContexts() const;
 
   // Host-thread backend.
   void HostThreadMain(ThreadState* t);  // host-thread trampoline
-  void HostThreadSwitchTo(Shard* s, ThreadState* t);
+  void HostThreadSwitchTo(ThreadState* t);
 
   SimBackend backend_;
-  SimConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t workers_used_ = 1;
-  uint64_t messages_delivered_ = 0;
-  uint64_t windows_ = 0;
+  TimeNs now_ = 0;
+  Rng rng_;
+  SchedulePolicy* policy_ = nullptr;     // non-owning
+  std::vector<SimThreadId> policy_ids_;  // scratch for policy candidate lists
+  uint64_t seq_ = 0;                     // event tie-break
+  uint64_t switches_ = 0;
+  uint64_t next_callback_id_ = 1;
+
+  std::vector<std::unique_ptr<ThreadState>> threads_;  // indexed by id
+  std::vector<ThreadState*> ready_;
+  std::priority_queue<PendingEvent*, std::vector<PendingEvent*>, EventCompare> events_;
+  // Owns every PendingEvent ever allocated; bounded by the maximum number of
+  // events simultaneously outstanding (completed ones are recycled through
+  // free_events_, so a long run does not grow this without bound).
+  std::deque<std::unique_ptr<PendingEvent>> event_pool_;
+  std::vector<PendingEvent*> free_events_;
+  std::unordered_map<uint64_t, PendingEvent*> live_callbacks_;
+
+  // Fiber backend: the scheduler's own context; fibers resume it when they
+  // yield or finish (also the uc_link of every fiber).
+  ucontext_t sched_ctx_;
+  // Stacks of finished threads, reused by later spawns.
+  std::vector<std::unique_ptr<char[]>> free_stacks_;
+  size_t stacks_allocated_ = 0;
+  size_t stacks_in_use_ = 0;
+
+  // Host-thread backend: synchronization implementing the run token.
+  std::mutex token_mu_;
+  std::condition_variable token_cv_;
+  ThreadState* running_ = nullptr;  // simulated thread holding the token
+  bool scheduler_turn_ = true;
+
   // Set by the destructor; read by unwinding simulated threads (possibly on
-  // other host threads under kThreads contexts).
+  // other host threads under the kThreads backend).
   std::atomic<bool> shutdown_{false};
 };
 

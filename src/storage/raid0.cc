@@ -20,14 +20,6 @@ Raid0::Raid0(std::vector<std::unique_ptr<BlockDevice>> members, uint32_t chunk_b
   member_write_blocks_.resize(members_.size(), 0);
 }
 
-TimeNs Raid0::MinLatencyNs() const {
-  TimeNs lat = members_.front()->MinLatencyNs();
-  for (const auto& m : members_) {
-    lat = std::min(lat, m->MinLatencyNs());
-  }
-  return lat;
-}
-
 size_t Raid0::Inflight() const {
   size_t n = 0;
   for (const auto& m : members_) {

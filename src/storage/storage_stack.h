@@ -41,11 +41,6 @@ struct StorageConfig {
 //   "hdd", "raid0", "ssd", "smallcache", "cfq-1ms", "cfq-100ms"
 StorageConfig MakeNamedConfig(const std::string& name);
 
-// The MinLatencyNs a stack built from `config` will report, computed from
-// the parameters alone (no simulation needed). Suite harnesses use it to
-// size the cross-shard window latency before constructing anything.
-TimeNs MinDeviceLatencyNs(const StorageConfig& config);
-
 // Per-stack counter snapshot (this stack only, unlike the process-wide
 // obs::MetricsRegistry): cache traffic, media traffic, scheduler switches,
 // and — for RAID-0 targets — per-member block routing for stripe-balance
@@ -114,13 +109,6 @@ class StorageStack {
   // around Execute to tag each action's storage-service interval.
   TimeNs ServiceNsForCurrentThread() const;
 
-  // This stack's time-domain lookahead: the device's minimum service
-  // latency. A parallel-simulation shard whose threads block only on this
-  // stack cannot produce a cross-shard effect sooner than this after any
-  // submit, so it is a sound (and usually much wider than the default δ)
-  // window margin. See DESIGN.md §5f.
-  TimeNs LookaheadNs() const { return top_device_->MinLatencyNs(); }
-
  private:
   // What a blocking interval inside the stack was serving, for the
   // per-category service accounting above.
@@ -150,12 +138,9 @@ class StorageStack {
   uint64_t media_read_blocks_ = 0;
   uint64_t media_write_blocks_ = 0;
 
-  // Per-sim-thread cumulative service time (indexed by the thread's dense
-  // *local* index, grown on demand — packed shard ids would blow the vector
-  // up) plus the run-wide per-category breakdown. A stack belongs to one
-  // shard; bound_shard_ pins and checks that.
+  // Per-sim-thread cumulative service time (indexed by thread id, grown on
+  // demand) plus the run-wide per-category breakdown.
   std::vector<TimeNs> service_ns_by_thread_;
-  mutable uint32_t bound_shard_ = UINT32_MAX;
   TimeNs service_cache_ns_ = 0;
   TimeNs service_media_read_ns_ = 0;
   TimeNs service_media_write_ns_ = 0;

@@ -47,15 +47,6 @@ std::string SetList(const char* const (&set)[N]) {
   return out;
 }
 
-uint64_t Fnv1a64(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string Trim(const std::string& s) {
   size_t b = s.find_first_not_of(" \t\r\n");
   if (b == std::string::npos) {
@@ -101,6 +92,15 @@ bool ParseUint64(const std::string& s, uint64_t* out) {
 }
 
 }  // namespace
+
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 std::string CellConfig::Echo() const {
   return StrFormat(
@@ -217,7 +217,7 @@ bool SweepGrid::Validate(std::string* error) const {
     sim::SimBackend be;
     if (!sim::ParseSimBackendName(v, &be)) {
       return fail(StrFormat(
-          "unknown backend '%s' (expected fibers, threads, or parallel)",
+          "unknown backend '%s' (expected fibers or threads)",
           v.c_str()));
     }
   }

@@ -52,7 +52,7 @@ struct CellConfig {
   int64_t cache_mb = -1;
   std::string schedule = "default";  // sim::ScheduleSpec::ToString() form
   uint64_t seed = 1;
-  std::string backend = "fibers";    // fibers | threads | parallel
+  std::string backend = "fibers";    // fibers | threads
   std::string pacing = "afap";       // afap | natural
 
   // Canonical one-line rendering, "k=v,k=v,..." in a fixed key order. This
@@ -114,6 +114,9 @@ bool ParseGridFile(const std::string& path, SweepGrid* out, std::string* error);
 // Axis names in declaration (= expansion) order; shared by the parser, the
 // JSONL rows, and the aggregate report's sensitivity table.
 const std::vector<std::string>& GridAxisNames();
+
+// FNV-1a 64 over the bytes of `s` (cell ids, the sweep's digest combine).
+uint64_t Fnv1a64(const std::string& s);
 
 // The value a cell holds for a named axis, rendered as a string
 // ("method" -> "artc", "cache_mb" -> "-1"). Aborts on unknown axis names —

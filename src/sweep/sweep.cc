@@ -413,15 +413,14 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
         parked.emplace(i, row);
         emit_ready();
 
-        // Order-independent aggregates (integer sums / xor), so completion
-        // order cannot leak into the report.
+        // Order-independent integer sums, so completion order cannot leak
+        // into the report.
         if (stats.failed_events > 0) {
           ++out->failed_cells;
         }
         out->end_ns_sum += stats.end_ns;
         out->stall_ns_sum += stats.stall_ns;
         out->exec_ns_sum += stats.exec_ns;
-        out->digest_xor ^= stats.digest;
         for (size_t r = 0; r < stats.stall_by_rule.size(); ++r) {
           out->stall_by_rule_sum[r] += stats.stall_by_rule[r];
         }
@@ -441,6 +440,7 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
     ARTC_CHECK(parked.empty() && next_emit == plan.cells.size());
   }
   out->host_ms = (HostNowUs() - sweep_t0) / 1000;
+  out->cells_digest = CombineCellDigests(out->stats);
 
   // Axis aggregates: only axes that actually vary, values in
   // first-appearance (= grid declaration) order.
@@ -482,6 +482,22 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   return true;
 }
 
+uint64_t CombineCellDigests(const std::vector<CellStats>& stats) {
+  std::vector<const CellStats*> by_id;
+  by_id.reserve(stats.size());
+  for (const CellStats& s : stats) {
+    by_id.push_back(&s);
+  }
+  std::sort(by_id.begin(), by_id.end(),
+            [](const CellStats* a, const CellStats* b) { return a->id < b->id; });
+  std::string pairs;
+  for (const CellStats* s : by_id) {
+    pairs += StrFormat("%s=%016llx;", s->id.c_str(),
+                       static_cast<unsigned long long>(s->digest));
+  }
+  return Fnv1a64(pairs);
+}
+
 std::string SweepReport::ToJson() const {
   std::string out = "{";
   bool first = true;
@@ -495,8 +511,8 @@ std::string SweepReport::ToJson() const {
   AppendIntField(&out, "stall_ns_sum", stall_ns_sum, &first);
   AppendIntField(&out, "exec_ns_sum", exec_ns_sum, &first);
   AppendStrField(
-      &out, "digest_xor",
-      StrFormat("%016llx", static_cast<unsigned long long>(digest_xor)),
+      &out, "cells_digest",
+      StrFormat("%016llx", static_cast<unsigned long long>(cells_digest)),
       &first);
   out += ",\"stall_by_rule\":{";
   bool rule_first = true;

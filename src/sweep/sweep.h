@@ -124,11 +124,11 @@ struct SweepReport {
   size_t jobs = 0;           // host workers used
   int64_t host_ms = 0;       // whole-sweep host time
 
-  // Order-independent aggregates (integer sums over all cells).
+  // Order-independent aggregates over all cells.
   TimeNs end_ns_sum = 0;
   TimeNs stall_ns_sum = 0;
   TimeNs exec_ns_sum = 0;
-  uint64_t digest_xor = 0;   // XOR of all cell digests (order-independent)
+  uint64_t cells_digest = 0;  // CombineCellDigests(stats)
   std::array<TimeNs, static_cast<size_t>(core::RuleTag::kCount)>
       stall_by_rule_sum{};
 
@@ -142,6 +142,12 @@ struct SweepReport {
   std::string ToJson() const;
   std::string OnePager() const;
 };
+
+// Folds every cell's fs digest into one value: FNV-1a 64 over the
+// (cell id, digest) pairs sorted by cell id. Order-independent like a sum,
+// but equal digests from different cells do not cancel the way an XOR
+// would, and changing any one cell's digest changes the result.
+uint64_t CombineCellDigests(const std::vector<CellStats>& stats);
 
 struct SweepOptions {
   size_t jobs = 0;          // host workers (0 = util::DefaultJobs())

@@ -1,6 +1,8 @@
 // A fixed-size worker pool for host-level parallelism (suite compilation,
-// concurrent sim replays). Distinct from sim::Simulation's simulated
-// threads: these are real OS threads doing real work in host time.
+// suite replay, sweep cells). Distinct from sim::Simulation's simulated
+// threads: these are real OS threads doing real work in host time. A
+// simulation is serial, so the pool is where replay throughput scales:
+// each worker runs whole independent simulations (core::ReplaySuite).
 //
 // Shutdown semantics: the destructor drains the queue — every task that was
 // submitted before destruction runs to completion before the workers join.
@@ -20,8 +22,8 @@ namespace artc::util {
 // The process-wide host-parallelism default: the ARTC_JOBS environment
 // variable if set to a positive integer, else hardware_concurrency (min 1).
 // Everything that sizes a worker team without an explicit count — ThreadPool
-// construction, the kParallel simulation backend, the bench/check mains'
-// --jobs flags — funnels through this one policy.
+// construction and the bench/sweep mains' --jobs flags — funnels through
+// this one policy.
 size_t DefaultJobs();
 
 class ThreadPool {

@@ -1,10 +1,9 @@
-// Differential test for the three Simulation context-switch backends: the
-// fiber backend (default), the host-thread token-passing backend, and the
-// sharded parallel backend must produce bit-identical schedules for the
-// same seed — same virtual end time, same switch count, same side-effect
-// order, same replay reports. The scheduler (ready list, RNG, event queue)
-// is shared between backends, so any divergence means the context-switch
-// layer (or, for kParallel, the window machinery) leaked into scheduling.
+// Differential test for the two Simulation context-switch backends: the
+// fiber backend (default) and the host-thread token-passing backend must
+// produce bit-identical schedules for the same seed — same virtual end
+// time, same switch count, same side-effect order, same replay reports. The
+// scheduler (ready list, RNG, event queue) is shared between backends, so
+// any divergence means the context-switch layer leaked into scheduling.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -28,8 +27,7 @@ using sim::SimCondVar;
 using sim::SimMutex;
 using sim::Simulation;
 
-constexpr SimBackend kAllBackends[] = {SimBackend::kFibers, SimBackend::kThreads,
-                                       SimBackend::kParallel};
+constexpr SimBackend kAllBackends[] = {SimBackend::kFibers, SimBackend::kThreads};
 
 // A deliberately messy program exercising every scheduling primitive:
 // seeded ready-list picks, sleeps, condvars (NotifyOne's RNG choice),
@@ -92,9 +90,7 @@ TEST(SimBackendParity, ChaosProgramIdenticalAcrossBackends) {
   for (uint64_t seed : {1ull, 7ull, 42ull, 20260806ull}) {
     ChaosResult fibers = RunChaos(seed, SimBackend::kFibers);
     ChaosResult threads = RunChaos(seed, SimBackend::kThreads);
-    ChaosResult parallel = RunChaos(seed, SimBackend::kParallel);
     EXPECT_EQ(fibers, threads) << "seed " << seed;
-    EXPECT_EQ(fibers, parallel) << "seed " << seed;
     EXPECT_FALSE(fibers.order.empty());
   }
 }
@@ -145,7 +141,7 @@ void ExpectIdenticalReplays(const SimReplayResult& a, const SimReplayResult& b,
 }
 
 // Full pipeline: trace a multithreaded workload once, replay the compiled
-// benchmark on all three backends, and require identical reports down to
+// benchmark on both backends, and require identical reports down to
 // the per-action timestamps — also under the exploration schedule policies
 // (random / PCT), which consume extra RNG at every choice point and so
 // catch any backend that perturbs choice-point order.
@@ -172,11 +168,8 @@ TEST(SimBackendParity, ReplayReportsIdenticalAcrossBackends) {
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
     target.sim_backend = SimBackend::kThreads;
     SimReplayResult threads = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kParallel;
-    SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
 
     ExpectIdenticalReplays(fibers, threads, schedule);
-    ExpectIdenticalReplays(fibers, parallel, schedule);
     EXPECT_GT(fibers.sim_switches, 0u);
   }
 }
@@ -224,10 +217,7 @@ TEST(SimBackendParity, SyncTraceReplayIdenticalAcrossBackends) {
     SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
     target.sim_backend = SimBackend::kThreads;
     SimReplayResult threads = core::ReplayCompiledOnSimTarget(bench, target);
-    target.sim_backend = SimBackend::kParallel;
-    SimReplayResult parallel = core::ReplayCompiledOnSimTarget(bench, target);
     ExpectIdenticalReplays(fibers, threads, schedule_name.c_str());
-    ExpectIdenticalReplays(fibers, parallel, schedule_name.c_str());
   }
 }
 
@@ -243,22 +233,20 @@ TEST(SimBackendParity, CritPathIdenticalAcrossBackends) {
   SimReplayResult fibers = core::ReplayCompiledOnSimTarget(bench, target);
   obs::CritPathReport base = obs::AnalyzeSimReplay(bench, fibers);
 
-  for (SimBackend backend : {SimBackend::kThreads, SimBackend::kParallel}) {
-    target.sim_backend = backend;
-    SimReplayResult other = core::ReplayCompiledOnSimTarget(bench, target);
-    obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, other);
-    EXPECT_EQ(base.segments.size(), cp.segments.size());
-    EXPECT_EQ(base.end_time, cp.end_time);
-    EXPECT_EQ(base.exec_ns, cp.exec_ns);
-    EXPECT_EQ(base.stall_ns, cp.stall_ns);
-    EXPECT_EQ(base.pacing_ns, cp.pacing_ns);
-    EXPECT_EQ(base.stall_unattributed, cp.stall_unattributed);
-    for (size_t i = 0; i < base.stall_by_rule_kind.size(); ++i) {
-      EXPECT_EQ(base.stall_by_rule_kind[i], cp.stall_by_rule_kind[i])
-          << "rule " << i;
-    }
-    EXPECT_EQ(base.stall_by_resource, cp.stall_by_resource);
+  target.sim_backend = SimBackend::kThreads;
+  SimReplayResult threads = core::ReplayCompiledOnSimTarget(bench, target);
+  obs::CritPathReport cp = obs::AnalyzeSimReplay(bench, threads);
+  EXPECT_EQ(base.segments.size(), cp.segments.size());
+  EXPECT_EQ(base.end_time, cp.end_time);
+  EXPECT_EQ(base.exec_ns, cp.exec_ns);
+  EXPECT_EQ(base.stall_ns, cp.stall_ns);
+  EXPECT_EQ(base.pacing_ns, cp.pacing_ns);
+  EXPECT_EQ(base.stall_unattributed, cp.stall_unattributed);
+  for (size_t i = 0; i < base.stall_by_rule_kind.size(); ++i) {
+    EXPECT_EQ(base.stall_by_rule_kind[i], cp.stall_by_rule_kind[i])
+        << "rule " << i;
   }
+  EXPECT_EQ(base.stall_by_resource, cp.stall_by_resource);
 }
 
 }  // namespace

@@ -351,5 +351,22 @@ TEST(Simulation, DestructorReleasesBlockedThreads) {
   sim.reset();  // must join cleanly
 }
 
+TEST(Simulation, FiberStackPoolReclaimsExitedThreads) {
+  // A chain of 100 short-lived threads, at most two alive at once: the
+  // high-water mark of allocated stacks must track *live* threads, not the
+  // total ever spawned.
+  Simulation sim(3, SimBackend::kFibers);
+  sim.Spawn("root", [&sim] {
+    for (int i = 0; i < 100; ++i) {
+      SimThreadId child = sim.Spawn("child", [&sim] { sim.Sleep(Us(1)); });
+      sim.Join(child);
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(sim.UnfinishedThreads(), 0u);
+  EXPECT_LE(sim.FiberStacksAllocated(), 3u);
+  EXPECT_EQ(sim.FiberStacksInUse(), 0u);
+}
+
 }  // namespace
 }  // namespace artc::sim

@@ -1,7 +1,7 @@
 // Sweep engine tests: grid parsing and validation, content-addressed cell
 // ids, byte-identical JSONL emission across worker counts, per-cell parity
 // with a standalone replay of the same configuration (on the fibers AND
-// parallel simulation backends), aggregate consistency, and drill-down
+// threads simulation backends), aggregate consistency, and drill-down
 // parity with the sweep row it drills into.
 #include <map>
 #include <set>
@@ -106,6 +106,11 @@ TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
   SweepGrid bad_cache;
   ASSERT_TRUE(ParseGridText("cache_mb = 0\n", &bad_cache, &error));
   EXPECT_FALSE(bad_cache.Expand("t", &cells, &error));
+
+  SweepGrid bad_backend;
+  ASSERT_TRUE(ParseGridText("backend = parallel\n", &bad_backend, &error));
+  EXPECT_FALSE(bad_backend.Expand("t", &cells, &error));
+  EXPECT_NE(error.find("parallel"), std::string::npos);
 }
 
 TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
@@ -159,17 +164,17 @@ TEST(SweepTest, JsonlRowsAreByteIdenticalAcrossWorkerCounts) {
   // Aggregates are order-independent too.
   EXPECT_EQ(r1.end_ns_sum, r4.end_ns_sum);
   EXPECT_EQ(r1.stall_ns_sum, r4.stall_ns_sum);
-  EXPECT_EQ(r1.digest_xor, r4.digest_xor);
+  EXPECT_EQ(r1.cells_digest, r4.cells_digest);
   EXPECT_EQ(r1.failed_cells, r4.failed_cells);
 }
 
-TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
+TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndThreadsBackends) {
   // Same grid twice over the backend axis: every cell's virtual results
   // must be bit-identical to a standalone replay of that configuration.
   SweepGrid grid;
   grid.method = {"artc"};
   grid.storage = {"hdd", "ssd"};
-  grid.backend = {"fibers", "parallel"};
+  grid.backend = {"fibers", "threads"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
 
   SweepReport report;
@@ -188,7 +193,7 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
   }
 
   // The backend axis itself must be invisible in the virtual results:
-  // fibers and parallel cells that agree on everything else agree on
+  // fibers and threads cells that agree on everything else agree on
   // end time and digest.
   std::map<std::string, std::pair<TimeNs, uint64_t>> by_config;
   for (const CellStats& stats : report.stats) {
@@ -203,6 +208,30 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndParallelBackends) {
   }
 }
 
+// The combined digest must not be vacuous. Storage never changes the final
+// fs state, so hdd and ssd cells share a digest; an XOR of the two would
+// read 0, and an exact gate on it could never fail.
+TEST(SweepTest, CellsDigestDoesNotCancelAndTracksEveryCell) {
+  SweepGrid grid;
+  grid.method = {"artc"};
+  grid.storage = {"hdd", "ssd"};
+  SweepPlan plan = BuildSmallPlan(std::move(grid));
+  SweepReport report;
+  SweepToString(plan, 2, 0, &report);
+  ASSERT_EQ(report.stats.size(), 2u);
+  ASSERT_EQ(report.stats[0].digest, report.stats[1].digest);
+
+  EXPECT_NE(report.cells_digest, 0u);
+  EXPECT_EQ(report.cells_digest, CombineCellDigests(report.stats));
+
+  std::vector<CellStats> changed = report.stats;
+  changed[1].digest ^= 1;
+  EXPECT_NE(CombineCellDigests(changed), report.cells_digest);
+
+  std::vector<CellStats> reversed(report.stats.rbegin(), report.stats.rend());
+  EXPECT_EQ(CombineCellDigests(reversed), report.cells_digest);
+}
+
 TEST(SweepTest, AggregatesAndExtremesAreConsistentWithRows) {
   SweepPlan plan = BuildSmallPlan(SmallGrid());
   SweepReport report;
@@ -210,18 +239,16 @@ TEST(SweepTest, AggregatesAndExtremesAreConsistentWithRows) {
 
   TimeNs end_sum = 0;
   TimeNs stall_sum = 0;
-  uint64_t digest_xor = 0;
   for (const CellStats& stats : report.stats) {
     end_sum += stats.end_ns;
     stall_sum += stats.stall_ns;
-    digest_xor ^= stats.digest;
     // Tiling invariant surfaces distilled: exec+stall+pacing+idle == end.
     EXPECT_EQ(stats.exec_ns + stats.stall_ns + stats.pacing_ns + stats.idle_ns,
               stats.end_ns);
   }
   EXPECT_EQ(report.end_ns_sum, end_sum);
   EXPECT_EQ(report.stall_ns_sum, stall_sum);
-  EXPECT_EQ(report.digest_xor, digest_xor);
+  EXPECT_EQ(report.cells_digest, CombineCellDigests(report.stats));
   EXPECT_EQ(report.cells, plan.cells.size());
 
   for (const CellStats& stats : report.stats) {
