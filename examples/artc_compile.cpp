@@ -17,7 +17,8 @@
 // magic; an ARTCT file carries its own snapshot). With --stream the trace
 // is compiled through the windowed streaming pipeline (core::CompileStream)
 // in bounded memory and only the canonical digest plus streaming statistics
-// are printed; --window bounds the events resident per window. --digest
+// are printed; --window bounds the events resident per window. --stream
+// compiles the artc method only. --digest
 // prints the canonical benchmark digest in the batch path too, so the two
 // pipelines can be compared with a diff.
 #include <cstdio>
@@ -44,7 +45,8 @@ void Usage() {
                "                    [--method artc|single|temporal|unconstrained]\n"
                "                    [--no-file-seq] [--no-path-order] [--no-fd-stage]\n"
                "                    [--fd-seq] [--replay-on CONFIG] [--fs PROFILE]\n"
-               "                    [--natural] [--stream] [--window N] [--digest]\n"
+               "                    [--natural] [--stream (artc only)] [--window N]\n"
+               "                    [--digest]\n"
                "                    [--metrics-port P]\n");
 }
 
@@ -81,7 +83,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--strace") {
       strace_format = true;
     } else if (arg == "--method") {
-      copt.method = artc::core::ReplayMethodFromName(next());
+      if (!artc::core::ParseReplayMethodName(next(), &copt.method)) {
+        Usage();
+        return 2;
+      }
     } else if (arg == "--no-file-seq") {
       copt.modes.file_seq = false;
     } else if (arg == "--no-path-order") {
@@ -117,7 +122,10 @@ int main(int argc, char** argv) {
   }
 
   if (stream) {
-    if (trace_path.empty() || strace_format) {
+    // The streaming compiler is ARTC-only (the temporal method needs a
+    // second pass over the whole trace).
+    if (trace_path.empty() || strace_format ||
+        copt.method != artc::core::ReplayMethod::kArtc) {
       Usage();
       return 2;
     }

@@ -3,16 +3,15 @@
 // (optionally) the compiled benchmark.
 //
 // The batch pipeline holds the full trace (~200 B/event), the full touch
-// annotation, and the full dep arena in memory at once. CompileStream
-// reorders the same work into a single forward pass — annotate this event,
-// assign its remap slots, emit its dependency edges, refine its predelay,
-// prune — so peak memory is the live resource tables plus a ~20-byte
+// annotation, and the full dep arena in memory at once. CompileStream runs
+// the same per-event compile step as the batch compiler
+// (internal::EventCompiler in dep_builder.h: remap slots, dependency edges,
+// predelay, pruning) but feeds it from the incremental annotator one event
+// at a time, so peak memory is the live resource tables plus a ~20-byte
 // per-event sidecar (thread index + timestamps, consulted when later edges
-// reference the event) plus whatever window the caller feeds from. Output
-// is bit-identical to the batch compiler: every per-event step consumes
-// only data about earlier events, which is exactly what the sidecar keeps
-// (see dep_builder.h for the shared machinery and the pruning-safety
-// argument).
+// reference the event) plus whatever window the caller feeds from. The
+// step consumes only data about the current and earlier events, which is
+// exactly what the sidecar keeps, so the output is the batch compiler's.
 //
 // Two consumption modes:
 //  * materialize=true: Finish() fills a CompiledBenchmark equal to
@@ -26,8 +25,7 @@
 // stats). DigestBenchmark() computes the identical digest from a
 // materialized CompiledBenchmark, so "stream output == batch output" is one
 // integer comparison. The digest deliberately excludes
-// dep_arena_peak_bytes, the one field that legitimately differs between the
-// two pipelines.
+// dep_arena_peak_bytes, an allocator observation rather than output.
 //
 // ARTC method only: temporal-method emission needs the completed slot
 // wiring of the *whole* trace (a second pass), which contradicts streaming.
@@ -98,6 +96,9 @@ struct CompileStreamFileResult {
 
 // Drives a StreamReader (text or ARTCT, sniffed) through a CompileStream in
 // bounded windows. Returns false with *diag set on open/parse failure.
+// While it runs, the stream.state_bytes and stream.interner_bytes gauges
+// carry the stream's current sizes; on return, success or failure, they
+// are back where the call found them.
 // bench may be null when stream_options.materialize is false.
 bool CompileStreamFile(const std::string& path,
                        const trace::StreamReaderOptions& reader_options,

@@ -1,9 +1,14 @@
 // The ARTC compiler: trace + initial snapshot -> compiled benchmark.
 //
 // A single scan over the annotated trace maintains one cursor per resource
-// (creating action, last action, uses since create) and emits dependency
-// edges according to the enabled ordering rules — action series are never
-// materialised, exactly as Sec. 4.3.3 describes.
+// (creating action, last action, uses since create) and emits each action's
+// dependency edges according to the enabled ordering rules, refining its
+// predelay and pruning redundant edges as it goes — action series are never
+// materialised, exactly as Sec. 4.3.3 describes. The per-event step is
+// internal::EventCompiler (dep_builder.h), shared with the streaming
+// compiler (compile_stream.h); only the temporal method adds a second pass,
+// because its infrastructure edges need the whole trace's fd/aio
+// definitions.
 #ifndef SRC_CORE_COMPILER_H_
 #define SRC_CORE_COMPILER_H_
 
@@ -28,25 +33,19 @@ struct CompileOptions {
   bool prune_redundant_deps = true;
 };
 
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
+// Annotates the trace, then compiles it. The trace is taken by value: pass
+// an rvalue (the normal parse -> compile pipeline) and the compiler steals
+// the event vector instead of copying ~200 bytes per event into the
+// benchmark; pass an lvalue and the events are copied.
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const CompileOptions& options = {});
 
-// Compile against a precomputed annotation. `annotated` must have been
-// produced from this exact trace + snapshot. A pipeline that already ran
+// Compiles against a precomputed annotation, which must have been produced
+// from this exact trace + snapshot. A pipeline that already ran
 // AnnotateTrace — for validation, statistics, or to compile the same trace
 // under several methods — passes it here instead of paying for a second
 // annotation pass (roughly a third of compile time on large traces).
-CompiledBenchmark Compile(const trace::Trace& t, const trace::FsSnapshot& snapshot,
-                          const fsmodel::AnnotatedTrace& annotated,
-                          const CompileOptions& options);
-
-// Consuming overloads: when the caller is done with the trace (the normal
-// parse -> compile pipeline), the compiler steals the event vector instead
-// of copying ~200 bytes per event into the benchmark. The trace is left
-// moved-from.
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
-                          const CompileOptions& options = {});
-CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
+CompiledBenchmark Compile(trace::Trace t, const trace::FsSnapshot& snapshot,
                           const fsmodel::AnnotatedTrace& annotated,
                           const CompileOptions& options);
 
@@ -56,25 +55,8 @@ CompiledBenchmark Compile(trace::Trace&& t, const trace::FsSnapshot& snapshot,
 // cells, artcd sessions) without copies — the shared_ptr's control block is
 // the only synchronization. Everything reachable through the pointer is
 // const; a consumer that needs a variant (different method, ablated rules)
-// compiles its own.
+// compiles its own: std::make_shared<const CompiledBenchmark>(Compile(...)).
 using CompiledBenchmarkPtr = std::shared_ptr<const CompiledBenchmark>;
-
-// Compile once, share everywhere. The overloads mirror Compile(); the
-// annotation-reuse form is how a sweep compiles one trace under several
-// replay methods while paying for a single annotation pass.
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const CompileOptions& options = {});
-CompiledBenchmarkPtr CompileShared(const trace::Trace& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options);
-// Consuming form: steals the event vector like Compile(Trace&&). Used for
-// the final compile of a trace that backs several shared artifacts.
-CompiledBenchmarkPtr CompileShared(trace::Trace&& t,
-                                   const trace::FsSnapshot& snapshot,
-                                   const fsmodel::AnnotatedTrace& annotated,
-                                   const CompileOptions& options);
 
 }  // namespace artc::core
 

@@ -358,4 +358,159 @@ uint64_t DepBuilder::state_bytes() const {
   return n;
 }
 
+void RefinePredelay(const EventMeta& meta, uint32_t i,
+                    const std::vector<Dep>& deps, CompiledAction* a) {
+  if (deps.empty()) {
+    return;  // no constraints beyond the thread gap: predelay stands
+  }
+  const TimeNs enter = meta.enter[i];
+  TimeNs base = enter - a->predelay;  // same-thread predecessor return
+  for (const Dep& d : deps) {
+    base = std::max(base, meta.ret_time[d.event]);
+  }
+  a->predelay = std::max<TimeNs>(0, enter - base);
+}
+
+EventCompiler::EventCompiler(const std::vector<fsmodel::ResourceInfo>& resources,
+                             const util::StringInterner* path_names,
+                             const CompileOptions& options,
+                             CompiledBenchmark* out)
+    : resources_(resources),
+      modes_(options.modes),
+      artc_(options.method == ReplayMethod::kArtc),
+      single_(options.method == ReplayMethod::kSingleThreaded),
+      out_(out),
+      builder_(resources, path_names, meta_, &out->dep_resource_names,
+               &out->edge_stats) {
+  if (artc_ && options.prune_redundant_deps) {
+    pruner_.emplace(meta_, &out->edge_stats);
+  }
+  if (single_) {
+    out->thread_ids.push_back(0);
+    out->thread_actions.emplace_back();
+  }
+  out->dep_offsets.assign(1, 0);
+}
+
+void EventCompiler::Reserve(size_t events) {
+  meta_.thread_index.reserve(events);
+  meta_.enter.reserve(events);
+  meta_.ret_time.reserve(events);
+  out_->actions.reserve(events);
+  out_->dep_offsets.reserve(events + 1);
+}
+
+uint32_t EventCompiler::DenseThread(uint32_t tid) {
+  uint32_t* slot = nullptr;
+  if (tid < kFlatTidLimit) {
+    if (tid_flat_.size() <= tid) {
+      tid_flat_.resize(tid + 1, 0);
+    }
+    slot = &tid_flat_[tid];
+  } else {
+    slot = &tid_overflow_[tid];
+  }
+  if (*slot == 0) {
+    *slot = static_cast<uint32_t>(out_->thread_ids.size()) + 1;
+    out_->thread_ids.push_back(tid);
+  }
+  return *slot - 1;
+}
+
+void EventCompiler::ExtendSlots() {
+  const size_t assigned = fd_slots_.size();
+  if (resources_.size() == assigned) {
+    return;
+  }
+  fd_slots_.resize(resources_.size(), -1);
+  aio_slots_.resize(resources_.size(), -1);
+  for (size_t r = assigned; r < resources_.size(); ++r) {
+    if (resources_[r].kind == ResourceKind::kFd) {
+      fd_slots_[r] = static_cast<int32_t>(out_->fd_slot_count++);
+    } else if (resources_[r].kind == ResourceKind::kAiocb) {
+      aio_slots_[r] = static_cast<int32_t>(out_->aio_slot_count++);
+    }
+  }
+}
+
+const CompiledAction& EventCompiler::Step(
+    const trace::TraceEvent& ev, const std::vector<fsmodel::Touch>& touches) {
+  const uint32_t i = static_cast<uint32_t>(meta_.size());
+  if (i == 0) {
+    trace_start_ = ev.enter;
+  }
+  const uint32_t ti = single_ ? 0 : DenseThread(ev.tid);
+  meta_.Push(ti, ev);
+  action_ = CompiledAction{};
+  action_.thread_index = ti;
+  if (last_ret_by_thread_.size() <= ti) {
+    last_ret_by_thread_.resize(ti + 1, trace_start_);
+  }
+  action_.predelay = std::max<TimeNs>(0, ev.enter - last_ret_by_thread_[ti]);
+  last_ret_by_thread_[ti] = ev.ret_time;
+
+  // Slot wiring fused with ARTC dep emission, while the touches are hot.
+  // Each touch yields at most one dep plus the create edge; a little
+  // headroom avoids regrowth on delete events with many outstanding uses.
+  ExtendSlots();
+  builder_.BeginEvent(i, touches.size() + 2);
+  for (const fsmodel::Touch& touch : touches) {
+    const ResourceKind kind = resources_[touch.resource].kind;
+    if (kind == ResourceKind::kFd) {
+      if (touch.access == Access::kCreate) {
+        action_.fd_def_slot = fd_slots_[touch.resource];
+      } else if (action_.fd_use_slot < 0) {
+        action_.fd_use_slot = fd_slots_[touch.resource];
+      }
+    } else if (kind == ResourceKind::kAiocb) {
+      if (touch.access == Access::kCreate) {
+        action_.aio_def_slot = aio_slots_[touch.resource];
+      } else if (action_.aio_use_slot < 0) {
+        action_.aio_use_slot = aio_slots_[touch.resource];
+      }
+    }
+    if (artc_) {
+      builder_.ArtcTouch(touch, modes_);
+    }
+  }
+  std::vector<Dep>& deps = builder_.deps();
+  RefinePredelay(meta_, i, deps, &action_);
+  if (pruner_) {
+    deps.resize(pruner_->PruneEvent(i, ti, deps.data(),
+                                    static_cast<uint32_t>(deps.size())));
+  }
+  return action_;
+}
+
+void EventCompiler::Append() {
+  const uint32_t i = static_cast<uint32_t>(out_->actions.size());
+  out_->actions.push_back(action_);
+  const uint32_t ti = action_.thread_index;
+  if (out_->thread_actions.size() <= ti) {
+    out_->thread_actions.resize(ti + 1);
+  }
+  out_->thread_actions[ti].push_back(i);
+  const std::vector<Dep>& deps = builder_.deps();
+  out_->dep_arena.insert(out_->dep_arena.end(), deps.begin(), deps.end());
+  out_->dep_offsets.push_back(static_cast<uint32_t>(out_->dep_arena.size()));
+}
+
+uint64_t EventCompiler::state_bytes() const {
+  uint64_t bytes =
+      meta_.thread_index.capacity() * sizeof(uint32_t) +
+      (meta_.enter.capacity() + meta_.ret_time.capacity()) * sizeof(TimeNs);
+  bytes += builder_.state_bytes();
+  if (pruner_) {
+    bytes += pruner_->state_bytes();
+  }
+  for (const std::string& s : out_->dep_resource_names) {
+    bytes += sizeof(std::string) + s.capacity();
+  }
+  bytes += (tid_flat_.capacity() + out_->thread_ids.capacity()) *
+               sizeof(uint32_t) +
+           last_ret_by_thread_.capacity() * sizeof(TimeNs) +
+           (fd_slots_.capacity() + aio_slots_.capacity()) * sizeof(int32_t);
+  return bytes;
+}
+
 }  // namespace artc::core::internal

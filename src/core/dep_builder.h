@@ -1,24 +1,29 @@
-// Internal machinery shared by the batch compiler (compiler.cc) and the
-// streaming compiler (compile_stream.cc): per-resource cursors, the ARTC
-// dependency-edge builder, and the incremental redundant-edge pruner.
+// Internal machinery of the ARTC compiler: per-resource cursors, the
+// dependency-edge builder, the incremental redundant-edge pruner, and the
+// per-event compile step (EventCompiler) that drives them. The batch
+// compiler (compiler.cc) and the streaming compiler (compile_stream.cc) are
+// both thin loops over EventCompiler::Step; they differ only in where an
+// event's touches come from.
 //
-// Everything here is deliberately decoupled from AnnotatedTrace and
-// CompiledBenchmark so a streaming pipeline that never materializes either
-// can drive it event by event. Per-event context the builder needs about
-// *past* events (thread index, enter/return times) lives in the small
-// EventMeta sidecar both compilers append to as they scan — ~20 bytes per
-// event instead of the ~200-byte TraceEvent.
+// Everything here consumes data about the current and *earlier* events
+// only, so one forward scan suffices and a streaming pipeline that never
+// materializes the trace or its annotation can drive it. Per-event context
+// the builder needs about past events (thread index, enter/return times)
+// lives in the small EventMeta sidecar — ~20 bytes per event instead of the
+// ~200-byte TraceEvent.
 //
 // Not a public API: include only from src/core implementation files.
 #ifndef SRC_CORE_DEP_BUILDER_H_
 #define SRC_CORE_DEP_BUILDER_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/core/compiled.h"
+#include "src/core/compiler.h"
 #include "src/fsmodel/resource_model.h"
 #include "src/util/interner.h"
 
@@ -54,11 +59,10 @@ struct Cursor {
   bool touched = false;
 };
 
-// Emits one event's dependency edges into a small sorted scratch vector.
-// The caller owns what happens next: the batch compiler flushes the scratch
-// into the CSR arena, the streaming compiler refines predelay and prunes
-// in place first. `resources` may keep growing between events (streaming
-// annotation); cursors are sized lazily against it.
+// Emits one event's dependency edges into a small sorted scratch vector,
+// which EventCompiler then refines predelay against and prunes in place.
+// `resources` may keep growing between events (streaming annotation);
+// cursors are sized lazily against it.
 class DepBuilder {
  public:
   DepBuilder(const std::vector<fsmodel::ResourceInfo>& resources,
@@ -83,7 +87,7 @@ class DepBuilder {
   void ArtcTouch(const fsmodel::Touch& touch, const ReplayModes& modes);
 
   // The current event's deps, sorted by prerequisite event and deduped.
-  // Mutable so the streaming compiler can prune in place before flushing.
+  // Mutable so EventCompiler can prune in place.
   std::vector<Dep>& deps() { return scratch_; }
 
   // Adds one dep, keeping scratch sorted/deduped; same-thread completion
@@ -192,6 +196,91 @@ class DepPruner {
   std::vector<uint32_t> row_width_;  // row id -> entry count
   std::vector<uint32_t> row_of_;     // event -> its clock row id
   std::vector<uint32_t> cur_row_;    // thread -> latest row id
+};
+
+// Predelay is the interval between an action's issue and the moment its
+// inferred constraints were satisfied in the original execution (paper
+// Sec. 4.3.3): the latest of the same-thread predecessor's return — the
+// thread gap *a carries on entry — and the deps' returns. Charging the
+// thread gap alone would replay idle phases (e.g., a coordinator joining
+// its workers) as sleeps. Callers pass the *unpruned* deps: pruning must
+// not change pacing.
+void RefinePredelay(const EventMeta& meta, uint32_t i,
+                    const std::vector<Dep>& deps, CompiledAction* a);
+
+// The per-event compile step: one call turns trace event i plus its
+// annotation touches into i's CompiledAction — dense replay thread (thread
+// 0 for every event under kSingleThreaded), thread-gap predelay, fd/aio
+// remap slots — and, for ARTC, i's dependency edges, the predelay refined
+// against them, and the edges pruned. The batch compiler feeds
+// AnnotatedTrace::touches[i]; the streaming compiler feeds
+// Annotator::AnnotateEvent's output.
+//
+// The benchmark-wide tables (thread_ids, slot counts, edge_stats,
+// dep_resource_names) accumulate straight into *out as events arrive;
+// Append() additionally writes the stepped action and its kept deps there,
+// for drivers that keep the compiled benchmark. *out must outlive the step
+// and stay put.
+class EventCompiler {
+ public:
+  EventCompiler(const std::vector<fsmodel::ResourceInfo>& resources,
+                const util::StringInterner* path_names,
+                const CompileOptions& options, CompiledBenchmark* out);
+  // builder_ and pruner_ hold references to meta_.
+  EventCompiler(const EventCompiler&) = delete;
+  EventCompiler& operator=(const EventCompiler&) = delete;
+
+  // Compiles the next event; ev.index need not be set, events are numbered
+  // in the order they arrive. The returned action and deps() (its kept,
+  // sorted deps) stay valid until the next Step.
+  const CompiledAction& Step(const trace::TraceEvent& ev,
+                             const std::vector<fsmodel::Touch>& touches);
+  const std::vector<Dep>& deps() { return builder_.deps(); }
+
+  // Appends the last stepped action and its kept deps to *out.
+  void Append();
+
+  // Capacity hint for a driver that knows the trace length up front.
+  void Reserve(size_t events);
+
+  uint64_t events() const { return meta_.size(); }
+  const EventMeta& meta() const { return meta_; }
+  // For the temporal method's emission pass, which runs after the scan.
+  DepBuilder& builder() { return builder_; }
+
+  // Resident bytes of the scan state: sidecar, builder, pruner, thread and
+  // slot tables (not the appended actions and deps).
+  uint64_t state_bytes() const;
+
+ private:
+  uint32_t DenseThread(uint32_t tid);
+  void ExtendSlots();
+
+  static constexpr uint32_t kFlatTidLimit = 1 << 16;
+
+  const std::vector<fsmodel::ResourceInfo>& resources_;
+  const ReplayModes modes_;
+  const bool artc_;
+  const bool single_;
+  CompiledBenchmark* out_;
+  EventMeta meta_;
+  DepBuilder builder_;
+  std::optional<DepPruner> pruner_;
+  CompiledAction action_;
+
+  // Dense replay threads. Trace tids are small integers in practice, so a
+  // flat tid -> index+1 table covers the common case; anything above the
+  // flat range falls back to the hash map.
+  std::vector<uint32_t> tid_flat_;
+  std::unordered_map<uint32_t, uint32_t> tid_overflow_;
+  std::vector<TimeNs> last_ret_by_thread_;
+  TimeNs trace_start_ = 0;
+
+  // fd/aio remap slots, one per generation resource, numbered in resource-
+  // id order as the resource table grows (ids are dense, so a flat vector
+  // beats a hash map).
+  std::vector<int32_t> fd_slots_;
+  std::vector<int32_t> aio_slots_;
 };
 
 }  // namespace artc::core::internal

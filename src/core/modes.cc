@@ -1,7 +1,5 @@
 #include "src/core/modes.h"
 
-#include "src/util/check.h"
-
 namespace artc::core {
 
 const char* ReplayMethodName(ReplayMethod m) {
@@ -18,21 +16,16 @@ const char* ReplayMethodName(ReplayMethod m) {
   return "?";
 }
 
-ReplayMethod ReplayMethodFromName(const std::string& name) {
-  if (name == "artc") {
-    return ReplayMethod::kArtc;
+bool ParseReplayMethodName(const std::string& name, ReplayMethod* out) {
+  for (ReplayMethod m :
+       {ReplayMethod::kArtc, ReplayMethod::kSingleThreaded,
+        ReplayMethod::kTemporal, ReplayMethod::kUnconstrained}) {
+    if (name == ReplayMethodName(m)) {
+      *out = m;
+      return true;
+    }
   }
-  if (name == "single") {
-    return ReplayMethod::kSingleThreaded;
-  }
-  if (name == "temporal") {
-    return ReplayMethod::kTemporal;
-  }
-  if (name == "unconstrained") {
-    return ReplayMethod::kUnconstrained;
-  }
-  ARTC_CHECK_MSG(false, "unknown replay method '%s'", name.c_str());
-  return ReplayMethod::kArtc;
+  return false;
 }
 
 const char* RuleTagName(RuleTag t) {

@@ -16,7 +16,9 @@ enum class ReplayMethod : uint8_t {
 };
 
 const char* ReplayMethodName(ReplayMethod m);
-ReplayMethod ReplayMethodFromName(const std::string& name);
+// Inverse of ReplayMethodName. Returns false (leaving *out untouched) for an
+// unknown name, so command-line front ends can reject it with a usage error.
+bool ParseReplayMethodName(const std::string& name, ReplayMethod* out);
 
 // Which ROOT rules ARTC applies to which resources. Defaults follow the
 // paper (all supported constraints except program_seq are on by default;

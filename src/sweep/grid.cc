@@ -149,7 +149,8 @@ core::SimTarget CellConfig::MakeTarget() const {
 
 core::CompileOptions CellConfig::MakeCompileOptions() const {
   core::CompileOptions copt;
-  copt.method = core::ReplayMethodFromName(method);
+  ARTC_CHECK_MSG(core::ParseReplayMethodName(method, &copt.method),
+                 "unvalidated method '%s'", method.c_str());
   return copt;
 }
 

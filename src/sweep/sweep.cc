@@ -191,11 +191,11 @@ bool BuildSweepPlan(trace::Trace&& t, const trace::FsSnapshot& snapshot,
   size_t remaining = methods.size();
   for (const std::string& method : methods) {
     core::CompileOptions copt;
-    copt.method = core::ReplayMethodFromName(method);
-    out->compiled[method] =
-        --remaining == 0
-            ? core::CompileShared(std::move(t), snapshot, annotated, copt)
-            : core::CompileShared(t, snapshot, annotated, copt);
+    ARTC_CHECK_MSG(core::ParseReplayMethodName(method, &copt.method),
+                   "unvalidated method '%s'", method.c_str());
+    out->compiled[method] = std::make_shared<const core::CompiledBenchmark>(
+        --remaining == 0 ? core::Compile(std::move(t), snapshot, annotated, copt)
+                         : core::Compile(t, snapshot, annotated, copt));
   }
   obs::LogInfo("sweep", "plan built",
                {{"trace", trace_name.c_str()},
