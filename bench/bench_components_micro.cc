@@ -3,6 +3,9 @@
 // These are not paper figures; they document the cost of using ARTC.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
+
 #include "src/core/artc.h"
 #include "src/core/compiler.h"
 #include "src/fsmodel/resource_model.h"
@@ -11,6 +14,9 @@
 #include "src/obs/sampler.h"
 #include "src/util/interner.h"
 #include "src/storage/hdd_model.h"
+#include "src/trace/binary_trace.h"
+#include "src/trace/stream_reader.h"
+#include "src/trace/trace_io.h"
 #include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
 
@@ -92,6 +98,75 @@ void BM_TraceWorkload(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceWorkload)->Unit(benchmark::kMillisecond);
+
+// Chunked parallel ingest of the 104k-action random-readers-16 trace (16
+// threads x 6500 reads) from disk, once as a text bundle (~7 MB, split into
+// 1 MiB chunks) and once as ARTCT. Both files are written once, untimed, and
+// removed at exit.
+struct ParseFixture {
+  std::string text_path;
+  std::string artct_path;
+  size_t events = 0;
+
+  ParseFixture() {
+    workloads::RandomReaders::Options opt;
+    opt.threads = 16;
+    opt.reads_per_thread = 6500;
+    workloads::RandomReaders w(opt);
+    workloads::TracedRun run = TraceWorkload(w, {});
+    events = run.trace.events.size();
+    const std::string prefix =
+        (std::filesystem::temp_directory_path() / "artc_micro_parse").string();
+    text_path = prefix + ".trace";
+    artct_path = prefix + ".artct";
+    trace::TraceBundle bundle;
+    bundle.trace = run.trace;
+    bundle.snapshot = run.snapshot;
+    trace::WriteTraceBundleFile(bundle, text_path);
+    std::string error;
+    if (!trace::WriteArtctFile(artct_path, run.trace, run.snapshot, &error)) {
+      std::fprintf(stderr, "ARTCT write failed: %s\n", error.c_str());
+      std::abort();
+    }
+  }
+  ~ParseFixture() {
+    std::error_code ec;
+    std::filesystem::remove(text_path, ec);
+    std::filesystem::remove(artct_path, ec);
+  }
+};
+
+const ParseFixture& SharedParseFixture() {
+  static const ParseFixture fixture;
+  return fixture;
+}
+
+void RunParallelRead(benchmark::State& state, const std::string& path) {
+  trace::ParallelReadOptions popt;
+  popt.jobs = 4;
+  popt.chunk_bytes = size_t{1} << 20;  // text only; ARTCT splits by chunk index
+  for (auto _ : state) {
+    trace::ParallelReadResult res;
+    trace::ParseDiag diag;
+    if (!trace::ParallelReadTraceFile(path, popt, &res, &diag)) {
+      state.SkipWithError(diag.Format().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(res.bundle.trace.events.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(SharedParseFixture().events));
+}
+
+void BM_ParallelReadText(benchmark::State& state) {
+  RunParallelRead(state, SharedParseFixture().text_path);
+}
+BENCHMARK(BM_ParallelReadText)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ParallelReadArtct(benchmark::State& state) {
+  RunParallelRead(state, SharedParseFixture().artct_path);
+}
+BENCHMARK(BM_ParallelReadArtct)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Interner contention: the same key stream (a trace-shaped mix of ~200
 // distinct paths, heavily repeated) interned by N threads three ways.

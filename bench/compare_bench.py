@@ -5,15 +5,16 @@ Usage:
     compare_bench.py BASELINE CURRENT [BASELINE CURRENT ...]
                      [--threshold 0.15] [--update]
 
-Compares each CURRENT bench JSON (as emitted by bench_compile_throughput /
-bench_replay_throughput) against its committed BASELINE and exits non-zero
-on a regression. Two classes of metric, gated differently:
+Compares each CURRENT bench JSON (as emitted by bench_parallel_replay /
+bench_sweep, or bench_components_micro via gbench_to_flat.py) against its
+committed BASELINE and exits non-zero on a regression. Two classes of
+metric, gated differently:
 
  * Deterministic virtual-time metrics (action counts, virtual end times,
-   edge counts, failure counts, backend parity) do not depend on the host,
-   so ANY difference is a failure. These catch semantic regressions that
-   masquerade as perf noise — e.g. a compiler change that emits more edges
-   or a replay change that shifts the virtual clock.
+   failure counts, serial/parallel parity, sweep aggregates) do not depend
+   on the host, so ANY difference is a failure. These catch semantic
+   regressions that masquerade as perf noise — e.g. a replay change that
+   shifts the virtual clock.
 
  * Throughput metrics (*_per_sec) depend on the machine. Shared CI runners
    are not speed-calibrated against the machine that recorded the baseline,
@@ -38,22 +39,17 @@ import sys
 
 # Exact-match keys: host-independent outputs of the virtual-time machinery.
 DETERMINISTIC_KEYS = (
+    # bench_parallel_replay: the suite's virtual results and the
+    # serial/parallel exactness verdict.
     "workload",
     "actions",
     "replay_threads",
-    "repeat",
     "seed",
     "failed_events",
     "virtual_end_ns",
     "replay_virtual_ns",
     "sim_switches",
-    "edges_emitted",
-    "edges_after_pruning",
-    "edges_pruned",
     "virtual_match",
-    "sync_edges",
-    "mutex_stall_ns",
-    "barrier_stall_ns",
     # bench_sweep: grid-wide virtual aggregates and the cross-jobs
     # byte-identity verdict.
     "cells",
@@ -67,25 +63,17 @@ DETERMINISTIC_KEYS = (
 
 THROUGHPUT_SUFFIX = "_per_sec"
 
-# Path segments whose throughput is ungateable even after normalization.
-# The threads sim backend burns its wall time in host context switches,
-# whose cost varies several-fold across runner generations — far beyond any
-# usable threshold. Its *virtual* metrics stay exact-gated above; only its
-# host-side throughput is skipped.
-NOISY_SEGMENTS = frozenset(["threads"])
-
 
 def flatten(node, prefix=""):
-    """Flattens nested dicts/lists to {dotted.key: leaf}. List items keyed by
-    their "backend" name when present, else by index."""
+    """Flattens nested dicts/lists to {dotted.key: leaf}; list items are keyed
+    by index."""
     out = {}
     if isinstance(node, dict):
         for k, v in node.items():
             out.update(flatten(v, f"{prefix}{k}."))
     elif isinstance(node, list):
         for i, v in enumerate(node):
-            tag = v.get("backend", str(i)) if isinstance(v, dict) else str(i)
-            out.update(flatten(v, f"{prefix}{tag}."))
+            out.update(flatten(v, f"{prefix}{i}."))
     else:
         out[prefix[:-1]] = node
     return out
@@ -113,8 +101,8 @@ def compare_pair(base_path, cur_path, problems, ratios):
                 f"{bval} -> {cval} (must match the committed baseline exactly)"
             )
         elif name.endswith(THROUGHPUT_SUFFIX):
-            if not bval or NOISY_SEGMENTS.intersection(key.split(".")):
-                continue  # zero baseline or host-noise-bound metric
+            if not bval:
+                continue  # zero baseline: no ratio to take
             ratios.append((f"{cur_path}:{key}", cval / bval))
 
 

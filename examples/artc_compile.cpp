@@ -184,7 +184,12 @@ int main(int argc, char** argv) {
     snapshot = std::move(bundle.snapshot);
   }
   if (!snapshot_path.empty()) {
-    snapshot = artc::trace::ReadSnapshotFile(snapshot_path);
+    std::string error;
+    if (!artc::trace::ReadSnapshotFile(snapshot_path, &snapshot, &error)) {
+      artc::obs::LogError("artc_compile", "cannot read snapshot",
+                          {{"file", snapshot_path}, {"detail", error}});
+      return 1;
+    }
   }
 
   artc::core::CompiledBenchmark bench;

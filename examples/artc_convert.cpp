@@ -118,7 +118,12 @@ int main(int argc, char** argv) {
     input_binary = res.from_binary;
   }
   if (!snapshot_path.empty()) {
-    bundle.snapshot = artc::trace::ReadSnapshotFile(snapshot_path);
+    std::string error;
+    if (!artc::trace::ReadSnapshotFile(snapshot_path, &bundle.snapshot, &error)) {
+      artc::obs::LogError("artc_convert", "cannot read snapshot",
+                          {{"file", snapshot_path}, {"detail", error}});
+      return 1;
+    }
   }
 
   const bool to_binary = to.empty() ? !input_binary : to == "artct";

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "src/obs/json.h"
 #include "src/obs/obs.h"
 
 namespace artc::obs {
@@ -65,21 +66,6 @@ int64_t HostNs() {
       .count();
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 const char* LogLevelName(LogLevel level) {
@@ -111,7 +97,7 @@ bool ParseLogLevel(std::string_view name, LogLevel* out) {
 
 void LogField::AppendTo(std::string* out) const {
   out->push_back('"');
-  AppendEscaped(out, key_);
+  AppendJsonEscaped(out, key_);
   out->push_back('"');
   out->push_back(':');
   char buf[64];
@@ -134,7 +120,7 @@ void LogField::AppendTo(std::string* out) const {
       break;
     case Kind::kString:
       out->push_back('"');
-      AppendEscaped(out, s_);
+      AppendJsonEscaped(out, s_);
       out->push_back('"');
       break;
   }
@@ -186,9 +172,9 @@ std::string FormatLogLine(LogLevel level, const char* component,
                 ",\"level\":\"%s\",\"tid\":%u,\"component\":\"",
                 wall_ms, host_ns, LogLevelName(level), tid);
   out += buf;
-  AppendEscaped(&out, component != nullptr ? component : "?");
+  AppendJsonEscaped(&out, component != nullptr ? component : "?");
   out += "\",\"msg\":\"";
-  AppendEscaped(&out, msg);
+  AppendJsonEscaped(&out, msg);
   out.push_back('"');
   if (dropped > 0) {
     std::snprintf(buf, sizeof(buf), ",\"dropped\":%" PRIu64, dropped);

@@ -1,8 +1,9 @@
 #include "src/obs/metrics.h"
 
 #include <bit>
-#include <cstdio>
 #include <unordered_map>
+
+#include "src/obs/json.h"
 
 namespace artc::obs {
 namespace {
@@ -112,6 +113,12 @@ void MetricsRegistry::Observe(MetricId id, uint64_t value) {
       ->fetch_add(static_cast<int64_t>(value), std::memory_order_relaxed);
 }
 
+void MetricsRegistry::Set(MetricId id, int64_t value) {
+  Shard* shard = LocalShard();  // may register, which takes mu_ itself
+  std::lock_guard<std::mutex> lk(mu_);
+  shard->Cell(id.cell)->fetch_add(value - SumCell(id.cell), std::memory_order_relaxed);
+}
+
 int64_t MetricsRegistry::SumCell(uint32_t cell) const {
   int64_t total = 0;
   const uint32_t chunk = cell / kCellsPerChunk;
@@ -160,44 +167,45 @@ size_t MetricsRegistry::ShardCount() const {
   return shards_.size();
 }
 
+namespace {
+
+// Appends `"name": ` as the next member of a JSON object, after a comma
+// unless it is the first.
+void AppendMemberKey(std::string* out, bool* first, const std::string& name) {
+  *out += *first ? "\n    \"" : ",\n    \"";
+  *first = false;
+  AppendJsonEscaped(out, name);
+  *out += "\": ";
+}
+
+void AppendScalars(std::string* out, const std::map<std::string, int64_t>& values) {
+  bool first = true;
+  for (const auto& [name, v] : values) {
+    AppendMemberKey(out, &first, name);
+    *out += std::to_string(v);
+  }
+  *out += first ? "},\n" : "\n  },\n";
+}
+
+}  // namespace
+
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";
-  char buf[128];
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %lld", first ? "" : ",",
-                  name.c_str(), static_cast<long long>(v));
-    out += buf;
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
+  AppendScalars(&out, counters);
   out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %lld", first ? "" : ",",
-                  name.c_str(), static_cast<long long>(v));
-    out += buf;
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
+  AppendScalars(&out, gauges);
   out += "  \"histograms\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, h] : histograms) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    \"%s\": {\"count\": %llu, \"sum\": %lld, \"buckets\": [",
-                  first ? "" : ",", name.c_str(),
-                  static_cast<unsigned long long>(h.count),
-                  static_cast<long long>(h.sum));
-    out += buf;
+    AppendMemberKey(&out, &first, name);
+    out += "{\"count\": " + std::to_string(h.count) + ", \"sum\": " +
+           std::to_string(h.sum) + ", \"buckets\": [";
     for (size_t i = 0; i < h.buckets.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s{\"le\": %llu, \"count\": %llu}",
-                    i == 0 ? "" : ", ",
-                    static_cast<unsigned long long>(h.buckets[i].first),
-                    static_cast<unsigned long long>(h.buckets[i].second));
-      out += buf;
+      out += i == 0 ? "{\"le\": " : ", {\"le\": ";
+      out += std::to_string(h.buckets[i].first) + ", \"count\": " +
+             std::to_string(h.buckets[i].second) + "}";
     }
     out += "]}";
-    first = false;
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

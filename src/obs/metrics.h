@@ -81,6 +81,11 @@ class MetricsRegistry {
     LocalShard()->Cell(id.cell)->fetch_add(delta, std::memory_order_relaxed);
   }
 
+  // Gauge set: afterwards the merged value reads `value`. Unlike Add this
+  // takes the registry mutex, under which it adds (value - merged value) to
+  // the caller's shard; concurrent Adds linearize before or after it.
+  void Set(MetricId id, int64_t value);
+
   // Histogram sample.
   void Observe(MetricId id, uint64_t value);
 

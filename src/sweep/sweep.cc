@@ -73,14 +73,10 @@ void AppendIntField(std::string* out, const char* key, long long v,
 }
 
 // The live progress plane. All names are stable (scraped by CI); per-axis
-// roll-up counters are interned on demand. The "set"-style gauges
-// (progress, ETA) are emulated on top of the registry's add-only cells by
-// tracking the last published value in a shadow. The shadows are plain
-// ints, so callers must serialize access: there is ONE process-lifetime
-// instance (the registry cells it fronts are process-global too), sweeps
-// are serialized by SweepMu, and within a sweep CellFinished is only ever
-// called under RunSweep's per-sweep mutex. StartSweep runs before any
-// worker is submitted, so it needs no further locking.
+// roll-up counters are interned on demand. Registration interns by name, so
+// every sweep's instance fronts the same process-global cells, and the
+// progress gauges (cells_total, progress, ETA) are registry set-gauges:
+// each sweep overwrites whatever the previous one left.
 class ProgressMetrics {
  public:
   ProgressMetrics()
@@ -94,11 +90,9 @@ class ProgressMetrics {
         eta_(registry_.Gauge("sweep.eta_ms")) {}
 
   void StartSweep(size_t cells) {
-    // Shadows persist across sweeps (one instance per process), so these
-    // deltas rewind whatever the previous sweep left in the global gauges.
-    SetGauge(total_, &total_shadow_, static_cast<int64_t>(cells));
-    SetGauge(progress_, &progress_shadow_, 0);
-    SetGauge(eta_, &eta_shadow_, 0);
+    registry_.Set(total_, static_cast<int64_t>(cells));
+    registry_.Set(progress_, 0);
+    registry_.Set(eta_, 0);
   }
 
   void CellStarted() { registry_.Add(inflight_, 1); }
@@ -123,44 +117,21 @@ class ProgressMetrics {
           1);
     }
     if (total > 0) {
-      SetGauge(progress_, &progress_shadow_,
-               static_cast<int64_t>(completed * 1000 / total));
+      registry_.Set(progress_, static_cast<int64_t>(completed * 1000 / total));
     }
     if (completed > 0) {
       const int64_t eta =
           elapsed_ms * static_cast<int64_t>(total - completed) /
           static_cast<int64_t>(completed);
-      SetGauge(eta_, &eta_shadow_, eta);
+      registry_.Set(eta_, eta);
     }
   }
 
  private:
-  void SetGauge(obs::MetricId id, int64_t* shadow, int64_t value) {
-    registry_.Add(id, value - *shadow);
-    *shadow = value;
-  }
-
   obs::MetricsRegistry& registry_;
   obs::MetricId completed_, failed_, stall_total_;
   obs::MetricId inflight_, total_, progress_, eta_;
-  int64_t total_shadow_ = 0;
-  int64_t progress_shadow_ = 0;
-  int64_t eta_shadow_ = 0;
 };
-
-// One sweep at a time per process: the registry gauges above have no
-// set-operation, so concurrent sweeps would corrupt each other's shadows.
-std::mutex& SweepMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-// The single process-lifetime instance (see the class comment). Leaked like
-// SweepMu so gauge updates stay valid during static teardown.
-ProgressMetrics& SweepProgressMetrics() {
-  static ProgressMetrics* metrics = new ProgressMetrics();
-  return *metrics;
-}
 
 }  // namespace
 
@@ -336,7 +307,6 @@ double AxisAgg::EndSensitivity(double grand_mean_end) const {
 
 bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
               SweepReport* out, std::string* error) {
-  std::lock_guard<std::mutex> sweep_lock(SweepMu());
   const int64_t sweep_t0 = HostNowUs();
 
   std::ofstream file;
@@ -355,7 +325,7 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
   out->cells = plan.cells.size();
   out->stats.resize(plan.cells.size());
 
-  ProgressMetrics& metrics = SweepProgressMetrics();
+  ProgressMetrics metrics;
   metrics.StartSweep(plan.cells.size());
   obs::LogInfo("sweep", "sweep started",
                {{"trace", plan.trace_name.c_str()},
@@ -425,8 +395,7 @@ bool RunSweep(const SweepPlan& plan, const SweepOptions& options,
           out->stall_by_rule_sum[r] += stats.stall_by_rule[r];
         }
         out->stats[i] = std::move(stats);
-        // Under mu: CellFinished's gauge shadows are plain read-modify-write
-        // state, and this mutex is what serializes workers within the sweep.
+        // Under mu, so `completed` and the progress it publishes agree.
         metrics.CellFinished(out->stats[i], completed, plan.cells.size(),
                              (HostNowUs() - sweep_t0) / 1000);
       }

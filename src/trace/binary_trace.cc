@@ -261,10 +261,14 @@ std::unique_ptr<ArtctReader> ArtctReader::Open(const std::string& path,
   if (next_event != h.event_count) {
     return fail("chunk index does not cover the event records");
   }
-  // Snapshot (text codec). Small: parse it eagerly.
+  // Snapshot (text codec). Small: parse it eagerly. The section has no CRC,
+  // so a corrupt byte surfaces here as a parse error.
   std::istringstream snap_in(std::string(
       reinterpret_cast<const char*>(r->map_ + h.snapshot_off), h.snapshot_bytes));
-  r->snapshot_ = ReadSnapshot(snap_in);
+  std::string snap_error;
+  if (!ReadSnapshot(snap_in, &r->snapshot_, &snap_error)) {
+    return fail(snap_error);
+  }
   return r;
 }
 

@@ -113,8 +113,12 @@ FsSnapshot FsSnapshot::Overlay(const FsSnapshot& other) const {
   return merged;
 }
 
-FsSnapshot ReadSnapshot(std::istream& in) {
+bool ReadSnapshot(std::istream& in, FsSnapshot* out, std::string* error) {
   FsSnapshot snap;
+  auto fail = [&](const std::string& msg) {
+    *error = msg;
+    return false;
+  };
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -131,7 +135,9 @@ FsSnapshot ReadSnapshot(std::istream& in) {
     std::string type;
     std::string path;
     ls >> type >> path;
-    ARTC_CHECK_MSG(!path.empty(), "snapshot line %zu: missing path", lineno);
+    if (path.empty()) {
+      return fail(StrFormat("snapshot line %zu: missing path", lineno));
+    }
     if (type == "D") {
       snap.AddDir(path);
     } else if (type == "F") {
@@ -151,24 +157,30 @@ FsSnapshot ReadSnapshot(std::istream& in) {
       std::string arrow;
       std::string target;
       ls >> arrow >> target;
-      ARTC_CHECK_MSG(arrow == "->", "snapshot line %zu: expected '->'", lineno);
+      if (arrow != "->") {
+        return fail(StrFormat("snapshot line %zu: expected '->'", lineno));
+      }
       snap.AddSymlink(path, target);
     } else if (type == "S") {
       std::string kind;
       ls >> kind;
       snap.AddSpecial(path, kind);
     } else {
-      ARTC_CHECK_MSG(false, "snapshot line %zu: unknown type '%s'", lineno, type.c_str());
+      return fail(StrFormat("snapshot line %zu: unknown type '%s'", lineno, type.c_str()));
     }
   }
   snap.Canonicalize();
-  return snap;
+  *out = std::move(snap);
+  return true;
 }
 
-FsSnapshot ReadSnapshotFile(const std::string& path) {
+bool ReadSnapshotFile(const std::string& path, FsSnapshot* out, std::string* error) {
   std::ifstream in(path);
-  ARTC_CHECK_MSG(in.good(), "cannot open snapshot file %s", path.c_str());
-  return ReadSnapshot(in);
+  if (!in.good()) {
+    *error = StrFormat("cannot open snapshot file %s", path.c_str());
+    return false;
+  }
+  return ReadSnapshot(in, out, error);
 }
 
 void WriteSnapshot(const FsSnapshot& snapshot, std::ostream& out) {

@@ -43,8 +43,12 @@ struct FsSnapshot {
   FsSnapshot Overlay(const FsSnapshot& other) const;
 };
 
-FsSnapshot ReadSnapshot(std::istream& in);
-FsSnapshot ReadSnapshotFile(const std::string& path);
+// Parse the snapshot text format (the inverse of WriteSnapshot). Malformed
+// input (a line with no path, a symlink line without "->", an unknown entry
+// type) returns false with a one-line diagnostic in *error; *out is then
+// left untouched.
+bool ReadSnapshot(std::istream& in, FsSnapshot* out, std::string* error);
+bool ReadSnapshotFile(const std::string& path, FsSnapshot* out, std::string* error);
 void WriteSnapshot(const FsSnapshot& snapshot, std::ostream& out);
 void WriteSnapshotFile(const FsSnapshot& snapshot, const std::string& path);
 

@@ -308,7 +308,11 @@ bool ParallelReadTraceFile(const std::string& path,
   }
 
   std::istringstream snap_in(snapshot_text);
-  out->bundle.snapshot = ReadSnapshot(snap_in);
+  if (!ReadSnapshot(snap_in, &out->bundle.snapshot, &error)) {
+    diag->file = path;
+    diag->message = std::move(error);
+    return false;
+  }
   return true;
 }
 
@@ -365,7 +369,12 @@ std::unique_ptr<StreamReader> StreamReader::Open(
     }
   }
   std::istringstream snap_in(snapshot_text);
-  r->snapshot_ = ReadSnapshot(snap_in);
+  std::string error;
+  if (!ReadSnapshot(snap_in, &r->snapshot_, &error)) {
+    diag->file = path;
+    diag->message = std::move(error);
+    return nullptr;
+  }
   return r;
 }
 

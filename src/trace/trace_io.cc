@@ -293,7 +293,11 @@ bool ReadTraceBundle(std::istream& in, TraceBundle* out, ParseDiag* diag) {
     }
   }
   std::istringstream snap_in(snapshot_text);
-  out->snapshot = ReadSnapshot(snap_in);
+  std::string error;
+  if (!ReadSnapshot(snap_in, &out->snapshot, &error)) {
+    diag->message = std::move(error);
+    return false;
+  }
   return true;
 }
 

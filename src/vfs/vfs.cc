@@ -211,20 +211,33 @@ std::vector<std::pair<uint64_t, uint32_t>> Vfs::MapRange(const Inode* inode, uin
   return out;
 }
 
-void Vfs::ReadInodeBlock(const Inode* inode) {
+Vfs::Inode* Vfs::ReadInodeBlock(const Inode* inode) {
+  const uint64_t ino = inode->ino;
   stack_->Read(inode->inode_block_lba, 1, /*sequential_hint=*/false);
+  return GetInode(ino);
 }
 
 void Vfs::DirtyInodeBlock(const Inode* inode) {
   stack_->cache().InsertDirty(inode->inode_block_lba, 1);
 }
 
-void Vfs::ReadDirBlocks(Inode* dir) {
+Vfs::Inode* Vfs::ReadDirBlocks(Inode* dir) {
+  const uint64_t ino = dir->ino;
   uint64_t blocks = std::max<uint64_t>(1, BlocksForSize(dir->size));
   EnsureExtents(dir, blocks);
   for (const auto& [lba, len] : MapRange(dir, 0, blocks)) {
     stack_->Read(lba, len, /*sequential_hint=*/false);
   }
+  return GetInode(ino);
+}
+
+bool Vfs::StillNamed(uint64_t dir_ino, const std::string& name, uint64_t ino) const {
+  const Inode* dir = GetInode(dir_ino);
+  if (dir == nullptr) {
+    return false;
+  }
+  auto it = dir->children.find(name);
+  return it != dir->children.end() && it->second == ino;
 }
 
 void Vfs::TouchDirData(Inode* dir) {
@@ -292,7 +305,13 @@ Vfs::ResolveOutcome Vfs::ResolveWithBudget(const std::string& path, bool follow_
       return out;
     }
     if (timed) {
+      const uint64_t dir_ino = dir->ino;
       sim_->Sleep(fs_.lookup_cpu);
+      dir = GetInode(dir_ino);  // a concurrent rmdir may have freed it
+      if (dir == nullptr) {
+        out.err = kENOENT;
+        return out;
+      }
     }
     bool last = i + 1 == parts.size();
     auto it = dir->children.find(parts[i]);
@@ -411,12 +430,15 @@ VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
     Inode* node = r.node;
     if (r.err == kENOENT && (flags & kOpenCreate) && r.parent != nullptr) {
       // Create the file.
-      ReadDirBlocks(r.parent);
+      Inode* parent = ReadDirBlocks(r.parent);
+      if (parent == nullptr) {
+        return {0, kENOENT};
+      }
       node = NewInode(kTypeFile);
       node->mode = mode;
       node->nlink = 1;
-      r.parent->children[r.final_name] = node->ino;
-      TouchDirData(r.parent);
+      parent->children[r.final_name] = node->ino;
+      TouchDirData(parent);
       DirtyInodeBlock(node);
       JournalAppend();
     } else if (r.err != 0) {
@@ -434,7 +456,10 @@ VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
       if (node->type == kTypeSymlink) {
         return {0, kELOOP};  // O_NOFOLLOW hit a symlink
       }
-      ReadInodeBlock(node);
+      node = ReadInodeBlock(node);
+      if (node == nullptr) {
+        return {0, kENOENT};
+      }
       if ((flags & kOpenTrunc) && node->type == kTypeFile && node->size > 0) {
         for (const auto& [lba, nblocks] : node->extents) {
           stack_->Discard(lba, nblocks);
@@ -538,13 +563,17 @@ VfsResult Vfs::Mkdir(const std::string& path, uint32_t mode) {
     if (r.err != kENOENT || r.parent == nullptr) {
       return {0, r.err};
     }
-    ReadDirBlocks(r.parent);
+    // The directory read blocks; a concurrent rmdir may free the parent.
+    Inode* parent = ReadDirBlocks(r.parent);
+    if (parent == nullptr) {
+      return {0, kENOENT};
+    }
     Inode* dir = NewInode(kTypeDir);
     dir->mode = mode;
     dir->nlink = 2;
-    r.parent->children[r.final_name] = dir->ino;
-    r.parent->nlink++;
-    TouchDirData(r.parent);
+    parent->children[r.final_name] = dir->ino;
+    parent->nlink++;
+    TouchDirData(parent);
     DirtyInodeBlock(dir);
     JournalAppend();
     return {0, 0};
@@ -569,13 +598,21 @@ VfsResult Vfs::Rmdir(const std::string& path) {
     if (r.node->ino == root_ino_) {
       return {0, kEPERM};
     }
-    ReadDirBlocks(r.parent);
-    r.parent->children.erase(r.final_name);
-    r.parent->nlink--;
-    r.node->nlink = 0;
-    TouchDirData(r.parent);
+    const uint64_t ino = r.node->ino;
+    Inode* parent = ReadDirBlocks(r.parent);
+    if (parent == nullptr || !StillNamed(parent->ino, r.final_name, ino)) {
+      return {0, kENOENT};  // removed or renamed away while the read blocked
+    }
+    Inode* node = GetInode(ino);
+    if (!node->children.empty()) {
+      return {0, kENOTEMPTY};
+    }
+    parent->children.erase(r.final_name);
+    parent->nlink--;
+    node->nlink = 0;
+    TouchDirData(parent);
     JournalAppend();
-    UnrefInode(r.node->ino);
+    UnrefInode(ino);
     return {0, 0};
   }, std::move(proto));
 }
@@ -592,12 +629,16 @@ VfsResult Vfs::Unlink(const std::string& path) {
     if (r.node->type == kTypeDir) {
       return {0, kEISDIR};
     }
-    ReadDirBlocks(r.parent);
-    r.parent->children.erase(r.final_name);
-    r.node->nlink--;
-    TouchDirData(r.parent);
+    const uint64_t ino = r.node->ino;
+    Inode* parent = ReadDirBlocks(r.parent);
+    if (parent == nullptr || !StillNamed(parent->ino, r.final_name, ino)) {
+      return {0, kENOENT};  // removed or renamed away while the read blocked
+    }
+    parent->children.erase(r.final_name);
+    GetInode(ino)->nlink--;
+    TouchDirData(parent);
     JournalAppend();
-    UnrefInode(r.node->ino);
+    UnrefInode(ino);
     return {0, 0};
   }, std::move(proto));
 }
@@ -612,10 +653,18 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
     if (src.err != 0) {
       return {0, src.err};
     }
+    const uint64_t src_dir = src.parent->ino;
+    const uint64_t src_ino = src.node->ino;
     ResolveOutcome dst = Resolve(to, /*follow_last=*/false, /*timed=*/true);
     if (dst.err != 0 && !(dst.err == kENOENT && dst.parent != nullptr)) {
       return {0, dst.err};
     }
+    // Resolving `to` blocked; `from` may have been removed or rebound.
+    if (!StillNamed(src_dir, src.final_name, src_ino)) {
+      return {0, kENOENT};
+    }
+    src.parent = GetInode(src_dir);
+    src.node = GetInode(src_ino);
     if (src.node->type == kTypeDir) {
       // A directory cannot be moved into its own subtree.
       for (Inode* d = dst.parent; d != nullptr;) {
@@ -646,19 +695,31 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
       dst.parent->children.erase(dst.final_name);
       UnrefInode(doomed);
     }
-    ReadDirBlocks(src.parent);
-    if (dst.parent != src.parent) {
-      ReadDirBlocks(dst.parent);
+    // Both directory reads block; re-check what was resolved before them.
+    const uint64_t dst_dir = dst.parent->ino;
+    if (ReadDirBlocks(src.parent) == nullptr) {
+      return {0, kENOENT};
     }
-    src.parent->children.erase(src.final_name);
-    dst.parent->children[dst.final_name] = src.node->ino;
-    if (src.node->type == kTypeDir && src.parent != dst.parent) {
-      src.parent->nlink--;
-      dst.parent->nlink++;
+    if (dst_dir != src_dir) {
+      Inode* dst_parent = GetInode(dst_dir);
+      if (dst_parent == nullptr || ReadDirBlocks(dst_parent) == nullptr) {
+        return {0, kENOENT};
+      }
     }
-    TouchDirData(src.parent);
-    if (dst.parent != src.parent) {
-      TouchDirData(dst.parent);
+    if (!StillNamed(src_dir, src.final_name, src_ino)) {
+      return {0, kENOENT};
+    }
+    Inode* src_parent = GetInode(src_dir);
+    Inode* dst_parent = GetInode(dst_dir);
+    src_parent->children.erase(src.final_name);
+    dst_parent->children[dst.final_name] = src_ino;
+    if (GetInode(src_ino)->type == kTypeDir && src_dir != dst_dir) {
+      src_parent->nlink--;
+      dst_parent->nlink++;
+    }
+    TouchDirData(src_parent);
+    if (dst_dir != src_dir) {
+      TouchDirData(dst_parent);
     }
     JournalAppend();
     return {0, 0};
@@ -678,6 +739,7 @@ VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
     if (src.node->type == kTypeDir) {
       return {0, kEPERM};
     }
+    const uint64_t src_ino = src.node->ino;
     ResolveOutcome dst = Resolve(link, /*follow_last=*/false, /*timed=*/true);
     if (dst.err == 0) {
       return {0, kEEXIST};
@@ -685,10 +747,16 @@ VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
     if (dst.err != kENOENT || dst.parent == nullptr) {
       return {0, dst.err};
     }
-    ReadDirBlocks(dst.parent);
-    dst.parent->children[dst.final_name] = src.node->ino;
-    src.node->nlink++;
-    TouchDirData(dst.parent);
+    Inode* parent = ReadDirBlocks(dst.parent);
+    // Both the resolve and the read blocked: the source may have been
+    // unlinked (and freed) and the target directory removed meanwhile.
+    Inode* node = GetInode(src_ino);
+    if (parent == nullptr || node == nullptr || node->nlink == 0) {
+      return {0, kENOENT};
+    }
+    parent->children[dst.final_name] = src_ino;
+    node->nlink++;
+    TouchDirData(parent);
     JournalAppend();
     return {0, 0};
   }, std::move(proto));
@@ -707,13 +775,16 @@ VfsResult Vfs::Symlink(const std::string& target, const std::string& link) {
     if (dst.err != kENOENT || dst.parent == nullptr) {
       return {0, dst.err};
     }
-    ReadDirBlocks(dst.parent);
+    Inode* parent = ReadDirBlocks(dst.parent);
+    if (parent == nullptr) {
+      return {0, kENOENT};
+    }
     Inode* node = NewInode(kTypeSymlink);
     node->symlink_target = target;
     node->nlink = 1;
     node->size = target.size();
-    dst.parent->children[dst.final_name] = node->ino;
-    TouchDirData(dst.parent);
+    parent->children[dst.final_name] = node->ino;
+    TouchDirData(parent);
     DirtyInodeBlock(node);
     JournalAppend();
     return {0, 0};
@@ -732,8 +803,11 @@ VfsResult Vfs::Readlink(const std::string& path) {
     if (r.node->type != kTypeSymlink) {
       return {0, kEINVAL};
     }
-    ReadInodeBlock(r.node);
-    return {static_cast<int64_t>(r.node->symlink_target.size()), 0};
+    const Inode* node = ReadInodeBlock(r.node);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    return {static_cast<int64_t>(node->symlink_target.size()), 0};
   }, std::move(proto));
 }
 
@@ -817,9 +891,12 @@ VfsResult Vfs::Read(int32_t fd, uint64_t count) {
     if (of == nullptr) {
       return {0, kEBADF};
     }
+    // The read blocks; a concurrent close may drop the open file meanwhile.
+    std::weak_ptr<OpenFile> alive = fd_table_[static_cast<size_t>(fd)];
     VfsResult r = PreadBody(fd, count, offset);
-    if (r.ok()) {
-      of->offset += r.value;
+    std::shared_ptr<OpenFile> still = alive.lock();
+    if (r.ok() && still != nullptr) {
+      still->offset += r.value;
     }
     return r;
   }, std::move(proto));
@@ -852,11 +929,14 @@ VfsResult Vfs::PwriteBody(int32_t fd, uint64_t count, int64_t offset, bool appen
     }
     BlockSpan span = SpanFor(offset, count);
     EnsureExtents(node, span.first + span.nblocks);
+    const uint64_t ino = node->ino;
     for (const auto& [lba, nblocks] : MapRange(node, span.first, span.nblocks)) {
       stack_->Write(lba, nblocks);
     }
+    // The writes block; a close + unlink may have freed the file meanwhile.
+    node = GetInode(ino);
     uint64_t end = static_cast<uint64_t>(offset) + count;
-    if (!append && end > node->size) {
+    if (node != nullptr && !append && end > node->size) {
       node->size = end;
       DirtyInodeBlock(node);
       JournalAppend();
@@ -886,10 +966,14 @@ VfsResult Vfs::Write(int32_t fd, uint64_t count) {
     }
     bool append = (of->flags & kOpenAppend) != 0;
     int64_t offset = of->offset;
+    // The write blocks; a concurrent close may drop the open file (and with
+    // it the last reference to the inode) meanwhile.
+    std::weak_ptr<OpenFile> alive = fd_table_[static_cast<size_t>(fd)];
     VfsResult r = PwriteBody(fd, count, offset, append);
-    if (r.ok()) {
-      Inode* node = GetInode(of->ino);
-      of->offset = append ? static_cast<int64_t>(node->size) : offset + r.value;
+    std::shared_ptr<OpenFile> still = alive.lock();
+    if (r.ok() && still != nullptr) {
+      still->offset = append ? static_cast<int64_t>(GetInode(still->ino)->size)
+                             : offset + r.value;
     }
     return r;
   }, std::move(proto));
@@ -1082,8 +1166,11 @@ VfsResult Vfs::Stat(const std::string& path) {
     if (r.err != 0) {
       return {0, r.err};
     }
-    ReadInodeBlock(r.node);
-    return {static_cast<int64_t>(r.node->size), 0};
+    const Inode* node = ReadInodeBlock(r.node);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    return {static_cast<int64_t>(node->size), 0};
   }, std::move(proto));
 }
 
@@ -1096,8 +1183,11 @@ VfsResult Vfs::Lstat(const std::string& path) {
     if (r.err != 0) {
       return {0, r.err};
     }
-    ReadInodeBlock(r.node);
-    return {static_cast<int64_t>(r.node->size), 0};
+    const Inode* node = ReadInodeBlock(r.node);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    return {static_cast<int64_t>(node->size), 0};
   }, std::move(proto));
 }
 
@@ -1183,7 +1273,15 @@ VfsResult Vfs::GetDirEntries(int32_t fd, uint64_t count) {
     if (node->type != kTypeDir) {
       return {0, kENOTDIR};
     }
-    ReadDirBlocks(node);
+    // The read blocks; a concurrent close may drop the open file and, with
+    // it, the last reference to a removed directory.
+    std::weak_ptr<OpenFile> alive = fd_table_[static_cast<size_t>(fd)];
+    node = ReadDirBlocks(node);
+    std::shared_ptr<OpenFile> still = alive.lock();
+    if (node == nullptr || still == nullptr) {
+      return {0, kEBADF};
+    }
+    of = still.get();
     // One scan returns everything (offset bookkeeping elided): value is the
     // entry count on the first call, 0 on subsequent calls (EOF).
     if (of->offset == 0) {
@@ -1208,9 +1306,12 @@ VfsResult Vfs::GetXattr(const std::string& path, const std::string& name) {
     if (r.err != 0) {
       return {0, r.err};
     }
-    ReadInodeBlock(r.node);
-    auto it = r.node->xattrs.find(name);
-    if (it == r.node->xattrs.end()) {
+    const Inode* node = ReadInodeBlock(r.node);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
+    auto it = node->xattrs.find(name);
+    if (it == node->xattrs.end()) {
       return {0, kENODATA};
     }
     return {static_cast<int64_t>(it->second), 0};
@@ -1244,9 +1345,12 @@ VfsResult Vfs::ListXattr(const std::string& path) {
     if (r.err != 0) {
       return {0, r.err};
     }
-    ReadInodeBlock(r.node);
+    const Inode* node = ReadInodeBlock(r.node);
+    if (node == nullptr) {
+      return {0, kENOENT};
+    }
     int64_t total = 0;
-    for (const auto& [n, sz] : r.node->xattrs) {
+    for (const auto& [n, sz] : node->xattrs) {
       total += static_cast<int64_t>(n.size()) + 1;
     }
     return {total, 0};
@@ -1378,9 +1482,14 @@ VfsResult Vfs::ExchangeData(const std::string& a, const std::string& b) {
     if (ra.err != 0) {
       return {0, ra.err};
     }
+    const uint64_t a_ino = ra.node->ino;
     ResolveOutcome rb = Resolve(b, /*follow_last=*/true, /*timed=*/true);
     if (rb.err != 0) {
       return {0, rb.err};
+    }
+    ra.node = GetInode(a_ino);  // resolving `b` blocked; `a` may be gone
+    if (ra.node == nullptr) {
+      return {0, kENOENT};
     }
     if (ra.node->type != kTypeFile || rb.node->type != kTypeFile) {
       return {0, kEINVAL};

@@ -196,10 +196,18 @@ class Vfs {
   void EnsureExtents(Inode* inode, uint64_t up_to_block);
   std::vector<std::pair<uint64_t, uint32_t>> MapRange(const Inode* inode, uint64_t block,
                                                       uint64_t nblocks) const;
-  void ReadInodeBlock(const Inode* inode);   // metadata read through cache
+  // Metadata reads through the cache. Both may block in storage I/O, and a
+  // concurrent unlink/rmdir (or a close that drops the last reference) can
+  // free the inode meanwhile, so both return it re-fetched by number after
+  // the read, or null when it is gone. Never touch the argument afterwards.
+  [[nodiscard]] Inode* ReadInodeBlock(const Inode* inode);
+  [[nodiscard]] Inode* ReadDirBlocks(Inode* dir);
   void DirtyInodeBlock(const Inode* inode);  // metadata write (cache)
-  void ReadDirBlocks(Inode* dir);
   void TouchDirData(Inode* dir);
+  // True when directory `dir_ino` still exists and maps `name` to `ino`: the
+  // re-check an operation makes after blocking, since a concurrent rename,
+  // unlink or rmdir may have removed or rebound the entry it resolved.
+  bool StillNamed(uint64_t dir_ino, const std::string& name, uint64_t ino) const;
   void JournalAppend();            // buffer one metadata transaction
   void JournalCommit();            // write buffered txns + barrier
   void DeviceBarrier();

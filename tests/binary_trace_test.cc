@@ -337,5 +337,83 @@ TEST(TraceIo, DiagnosticCarriesLocation) {
   EXPECT_FALSE(missing.message.empty());
 }
 
+// A text bundle whose snapshot names an unknown entry type. Every
+// diagnostic-returning reader must reject it with a message, not abort.
+constexpr char kBadSnapshotBundle[] =
+    "#snapshot D /d\n"
+    "#snapshot Q /x\n"
+    "0 1 1000 2000 stat ret=0 path=\"/d\"\n";
+
+std::string WriteBadSnapshotBundle(const std::string& name) {
+  const std::string txt = TempPath(name);
+  std::ofstream(txt) << kBadSnapshotBundle;
+  return txt;
+}
+
+TEST(TraceIo, BundleWithMalformedSnapshotReturnsDiagnostic) {
+  std::istringstream in(kBadSnapshotBundle);
+  trace::TraceBundle bundle;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ReadTraceBundle(in, &bundle, &diag));
+  EXPECT_NE(diag.message.find("unknown type 'Q'"), std::string::npos)
+      << diag.Format();
+}
+
+TEST(ParallelRead, MalformedSnapshotReturnsDiagnostic) {
+  const std::string txt = WriteBadSnapshotBundle("artct_badsnap_par.trace");
+  trace::ParallelReadResult res;
+  trace::ParseDiag diag;
+  EXPECT_FALSE(trace::ParallelReadTraceFile(txt, trace::ParallelReadOptions{},
+                                            &res, &diag));
+  EXPECT_EQ(diag.file, txt);
+  EXPECT_NE(diag.message.find("unknown type 'Q'"), std::string::npos)
+      << diag.Format();
+  std::remove(txt.c_str());
+}
+
+TEST(StreamReader, MalformedSnapshotReturnsDiagnostic) {
+  const std::string txt = WriteBadSnapshotBundle("artct_badsnap_stream.trace");
+  trace::ParseDiag diag;
+  auto reader = trace::StreamReader::Open(txt, trace::StreamReaderOptions{}, &diag);
+  EXPECT_EQ(reader, nullptr);
+  EXPECT_EQ(diag.file, txt);
+  EXPECT_NE(diag.message.find("unknown type 'Q'"), std::string::npos)
+      << diag.Format();
+  std::remove(txt.c_str());
+}
+
+// The ARTCT snapshot section carries no CRC: one flipped byte (here the '-'
+// of a symlink's "->") must come back as an open error.
+TEST(BinaryTrace, CorruptSnapshotSectionRejected) {
+  trace::TraceBundle bundle;
+  trace::TraceEvent ev;
+  ev.tid = 1;
+  ev.call = trace::Sys::kStat;
+  ev.enter = 1000;
+  ev.ret_time = 2000;
+  ev.path = "/d";
+  bundle.trace.events.push_back(ev);
+  bundle.snapshot.AddDir("/d");
+  bundle.snapshot.AddSymlink("/d/link", "/d");
+  bundle.snapshot.Canonicalize();
+  const std::string bin = TempPath("artct_badsnap.artct");
+  std::string error;
+  ASSERT_TRUE(trace::WriteArtctFile(bin, bundle.trace, bundle.snapshot, &error));
+  {
+    std::ifstream in(bin, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const size_t arrow = bytes.find("-> /d");
+    ASSERT_NE(arrow, std::string::npos);
+    std::fstream f(bin, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(arrow));
+    f.put('+');
+  }
+  auto reader = trace::ArtctReader::Open(bin, &error);
+  EXPECT_EQ(reader, nullptr);
+  EXPECT_NE(error.find("expected '->'"), std::string::npos) << error;
+  std::remove(bin.c_str());
+}
+
 }  // namespace
 }  // namespace artc

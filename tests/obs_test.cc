@@ -97,6 +97,37 @@ TEST(MetricsRegistry, SnapshotJsonIsStructurallySound) {
             std::count(json.begin(), json.end(), ']'));
 }
 
+TEST(MetricsRegistry, SnapshotJsonKeepsLongNamesWholeAndEscaped) {
+  MetricsRegistry reg;
+  const std::string long_name(200, 'n');
+  reg.Add(reg.Counter(long_name), 1);
+  reg.Add(reg.Gauge("quote\"and\\slash"), 2);
+  const std::string json = reg.SnapshotJson();
+  EXPECT_NE(json.find("\"" + long_name + "\": 1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"quote\\\"and\\\\slash\": 2"), std::string::npos) << json;
+}
+
+TEST(MetricsRegistry, SetOverridesAddsFromOtherThreads) {
+  MetricsRegistry reg;
+  MetricId gauge = reg.Gauge("test.set_gauge");
+  std::vector<std::thread> adders;
+  for (int t = 0; t < 2; ++t) {
+    adders.emplace_back([&] {
+      for (int i = 0; i < 1000; ++i) {
+        reg.Add(gauge, 3);
+      }
+    });
+  }
+  for (auto& th : adders) {
+    th.join();
+  }
+  std::thread setter([&] { reg.Set(gauge, 42); });
+  setter.join();
+  EXPECT_EQ(reg.Snapshot().gauges.at("test.set_gauge"), 42);
+  reg.Add(gauge, -2);  // adds keep composing with the set value
+  EXPECT_EQ(reg.Snapshot().gauges.at("test.set_gauge"), 40);
+}
+
 TEST(Tracer, RingWrapsAndCountsDrops) {
   Tracer tracer(/*ring_capacity=*/8);
   for (int i = 0; i < 20; ++i) {

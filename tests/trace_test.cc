@@ -213,7 +213,9 @@ TEST(Snapshot, RoundTrip) {
 
   std::stringstream ss;
   WriteSnapshot(snap, ss);
-  FsSnapshot back = ReadSnapshot(ss);
+  FsSnapshot back;
+  std::string error;
+  ASSERT_TRUE(ReadSnapshot(ss, &back, &error)) << error;
   const SnapshotEntry* f = back.Find("/a/b");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->size, 12345u);

@@ -145,6 +145,50 @@ TEST_F(VfsTest, MkdirRmdirSemantics) {
   });
 }
 
+// mkdir /d/x blocks in the HDD read of /d's directory block while a second
+// thread removes the still-empty /d. The mkdir must notice its parent is
+// gone and fail with ENOENT instead of linking into the freed directory.
+TEST_F(VfsTest, MkdirFailsWhenParentRemovedDuringDirectoryRead) {
+  sim::Simulation sim(1);
+  storage::StorageStack stack(&sim, storage::MakeNamedConfig("hdd"));
+  Vfs vfs(&sim, &stack, MakeFsProfile("ext4"));
+  vfs.MustMkdirAll("/d");
+  vfs.MustCreateFile("/big", 256ULL << 20);
+  TimeNs mkdir_start = -1;
+  TimeNs mkdir_end = 0;
+  TimeNs rmdir_end = 0;
+  VfsResult mk;
+  VfsResult rm;
+  sim.Spawn("mkdir", [&] {
+    // Cache root's directory block (so the rmdir below never waits on the
+    // disk), then park the head at the start of /big, 256 MB away from where
+    // /d's directory block gets allocated: the mkdir's read of it seeks.
+    EXPECT_TRUE(vfs.Mkdir("/warm").ok());
+    int32_t fd = static_cast<int32_t>(vfs.Open("/big", kOpenRead).value);
+    EXPECT_EQ(vfs.Pread(fd, 4096, 0).value, 4096);
+    EXPECT_TRUE(vfs.Close(fd).ok());
+    mkdir_start = sim.Now();
+    mk = vfs.Mkdir("/d/x");
+    mkdir_end = sim.Now();
+  });
+  sim.Spawn("rmdir", [&] {
+    while (mkdir_start < 0) {
+      sim.Sleep(Us(1));
+    }
+    // Past the mkdir's path lookups (a few microseconds of CPU), well inside
+    // its uncached directory read (milliseconds on the HDD).
+    sim.Sleep(Us(200));
+    rm = vfs.Rmdir("/d");
+    rmdir_end = sim.Now();
+  });
+  sim.Run();
+  ASSERT_EQ(sim.UnfinishedThreads(), 0u);
+  EXPECT_EQ(rm.err, 0);
+  EXPECT_LT(rmdir_end, mkdir_end);
+  EXPECT_EQ(mk.err, kENOENT);
+  EXPECT_FALSE(vfs.Exists("/d"));
+}
+
 TEST_F(VfsTest, UnlinkSemantics) {
   RunInSim([](Vfs& vfs) {
     vfs.MustCreateFile("/f", 100);
