@@ -141,23 +141,31 @@ void StorageStack::BlockingIo(uint64_t lba, uint32_t nblocks, bool is_write,
   }
 }
 
+bool StorageStack::Inflight(uint64_t lba) const {
+  for (const auto& [start, nblocks] : inflight_reads_) {
+    if (lba - start < nblocks) {  // wraps to a huge value below start
+      return true;
+    }
+  }
+  return false;
+}
+
 void StorageStack::Read(uint64_t lba, uint32_t nblocks, bool sequential_hint) {
   uint32_t issuer = sim_->CurrentThread();
   uint64_t end = lba + nblocks;
   uint64_t b = lba;
   uint32_t hit_run = 0;
   while (b < end) {
-    if (cache_->Resident(b, 1)) {
-      cache_->Touch(b, 1);
+    if (cache_->TouchIfResident(b)) {
       hit_run++;
       b++;
       continue;
     }
-    if (inflight_reads_.count(b) != 0) {
+    if (Inflight(b)) {
       // Another thread is already fetching this block; waiting on its I/O
       // is still time the media serves this reader.
       const TimeNs w0 = sim_->Now();
-      while (inflight_reads_.count(b) != 0) {
+      while (Inflight(b)) {
         inflight_cv_.Wait();
       }
       AccountService(sim_->Now() - w0, ServiceCat::kMediaRead);
@@ -165,8 +173,7 @@ void StorageStack::Read(uint64_t lba, uint32_t nblocks, bool sequential_hint) {
     }
     // Find the contiguous miss run within the request.
     uint64_t miss_end = b + 1;
-    while (miss_end < end && !cache_->Resident(miss_end, 1) &&
-           inflight_reads_.count(miss_end) == 0) {
+    while (miss_end < end && !cache_->Resident(miss_end, 1) && !Inflight(miss_end)) {
       miss_end++;
     }
     uint32_t fetch = static_cast<uint32_t>(miss_end - b);
@@ -176,19 +183,15 @@ void StorageStack::Read(uint64_t lba, uint32_t nblocks, bool sequential_hint) {
       uint64_t ra_end = b + fetch + cache_->params().readahead_blocks;
       ra_end = std::min(ra_end, top_device_->CapacityBlocks());
       while (b + fetch < ra_end && !cache_->Resident(b + fetch, 1) &&
-             inflight_reads_.count(b + fetch) == 0) {
+             !Inflight(b + fetch)) {
         fetch++;
       }
     }
     cache_->CountMiss(fetch);
-    for (uint64_t i = b; i < b + fetch; ++i) {
-      inflight_reads_.insert(i);
-    }
+    inflight_reads_.push_back({b, fetch});
     BlockingIo(b, fetch, /*is_write=*/false, issuer, ServiceCat::kMediaRead);
     cache_->InsertClean(b, fetch);
-    for (uint64_t i = b; i < b + fetch; ++i) {
-      inflight_reads_.erase(i);
-    }
+    std::erase(inflight_reads_, std::pair<uint64_t, uint32_t>{b, fetch});
     inflight_cv_.NotifyAll();
     WriteBlocksOut(cache_->EvictToCapacity(), kAsyncIssuer, ServiceCat::kWriteback);
     b += std::min<uint64_t>(fetch, miss_end - b);

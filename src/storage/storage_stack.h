@@ -8,7 +8,7 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/storage/block_device.h"
@@ -122,6 +122,7 @@ class StorageStack {
   void WriteBlocksOut(std::vector<uint64_t> blocks, uint32_t issuer,
                       ServiceCat cat);
   void ThrottleDirty();
+  bool Inflight(uint64_t lba) const;
   void AccountService(TimeNs dt, ServiceCat cat);
 
   sim::Simulation* sim_;
@@ -130,9 +131,10 @@ class StorageStack {
   std::unique_ptr<IoScheduler> scheduler_;
   std::unique_ptr<PageCache> cache_;
 
-  // Blocks currently being fetched by some thread; concurrent readers of the
-  // same block wait on inflight_cv_ instead of duplicating the I/O.
-  std::unordered_set<uint64_t> inflight_reads_;
+  // Block ranges (lba, nblocks) currently being fetched, one per reading
+  // thread at most and disjoint; concurrent readers of those blocks wait on
+  // inflight_cv_ instead of duplicating the I/O.
+  std::vector<std::pair<uint64_t, uint32_t>> inflight_reads_;
   sim::SimCondVar inflight_cv_;
 
   uint64_t media_read_blocks_ = 0;

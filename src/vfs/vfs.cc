@@ -96,7 +96,7 @@ struct Vfs::Inode {
   uint32_t mode = 0644;
   uint64_t size = 0;
   uint32_t nlink = 0;
-  uint32_t open_count = 0;
+  uint32_t open_count = 0;  // open file descriptions, not fds: dups share one
   std::vector<std::pair<uint64_t, uint32_t>> extents;  // (lba, nblocks), file order
   uint64_t allocated_blocks = 0;
   std::map<std::string, uint64_t> children;  // dirs: name -> ino
@@ -428,12 +428,20 @@ VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
     sim_->Sleep(fs_.meta_cpu);
     ResolveOutcome r = Resolve(path, !(flags & kOpenNoFollow), /*timed=*/true);
     Inode* node = r.node;
-    if (r.err == kENOENT && (flags & kOpenCreate) && r.parent != nullptr) {
-      // Create the file.
+    bool created = false;
+    while (r.err == kENOENT && (flags & kOpenCreate) && r.parent != nullptr) {
       Inode* parent = ReadDirBlocks(r.parent);
       if (parent == nullptr) {
         return {0, kENOENT};
       }
+      if (parent->children.count(r.final_name) != 0) {
+        // Another thread created the name while the read blocked: open what
+        // is there now (O_EXCL then fails with EEXIST).
+        r = Resolve(path, !(flags & kOpenNoFollow), /*timed=*/true);
+        node = r.node;
+        continue;
+      }
+      // Create the file.
       node = NewInode(kTypeFile);
       node->mode = mode;
       node->nlink = 1;
@@ -441,9 +449,13 @@ VfsResult Vfs::Open(const std::string& path, uint32_t flags, uint32_t mode) {
       TouchDirData(parent);
       DirtyInodeBlock(node);
       JournalAppend();
-    } else if (r.err != 0) {
-      return {0, r.err};
-    } else {
+      created = true;
+      break;
+    }
+    if (!created) {
+      if (r.err != 0) {
+        return {0, r.err};
+      }
       if ((flags & kOpenCreate) && (flags & kOpenExcl)) {
         return {0, kEEXIST};
       }
@@ -511,9 +523,9 @@ VfsResult Vfs::Dup(int32_t fd) {
     if (GetOpenFile(fd) == nullptr) {
       return {0, kEBADF};
     }
-    std::shared_ptr<OpenFile> of = fd_table_[static_cast<size_t>(fd)];
-    GetInode(of->ino)->open_count++;
-    int32_t nfd = AllocFd(std::move(of));
+    // The new fd shares the open file description: open_count (one per
+    // description) does not change.
+    int32_t nfd = AllocFd(fd_table_[static_cast<size_t>(fd)]);
     return {nfd, 0};
   }, std::move(proto));
 }
@@ -545,7 +557,6 @@ VfsResult Vfs::Dup2(int32_t fd, int32_t newfd) {
       }
     }
     fd_table_[static_cast<size_t>(newfd)] = fd_table_[static_cast<size_t>(fd)];
-    GetInode(fd_table_[static_cast<size_t>(fd)]->ino)->open_count++;
     return {newfd, 0};
   }, std::move(proto));
 }
@@ -563,10 +574,14 @@ VfsResult Vfs::Mkdir(const std::string& path, uint32_t mode) {
     if (r.err != kENOENT || r.parent == nullptr) {
       return {0, r.err};
     }
-    // The directory read blocks; a concurrent rmdir may free the parent.
+    // The directory read blocks; a concurrent rmdir may free the parent,
+    // and a concurrent create may take the name.
     Inode* parent = ReadDirBlocks(r.parent);
     if (parent == nullptr) {
       return {0, kENOENT};
+    }
+    if (parent->children.count(r.final_name) != 0) {
+      return {0, kEEXIST};
     }
     Inode* dir = NewInode(kTypeDir);
     dir->mode = mode;
@@ -675,25 +690,13 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
         break;
       }
     }
+    if (dst.node == src.node) {
+      return {0, 0};
+    }
     if (dst.node != nullptr) {
-      if (dst.node == src.node) {
-        return {0, 0};
+      if (int err = UnbindRenameTarget(dst.parent, dst.final_name, src.node); err != 0) {
+        return {0, err};
       }
-      if (dst.node->type == kTypeDir) {
-        if (src.node->type != kTypeDir) {
-          return {0, kEISDIR};
-        }
-        if (!dst.node->children.empty()) {
-          return {0, kENOTEMPTY};
-        }
-      } else if (src.node->type == kTypeDir) {
-        return {0, kENOTDIR};
-      }
-      // Replace the target.
-      dst.node->nlink -= (dst.node->type == kTypeDir) ? 2 : 1;
-      uint64_t doomed = dst.node->ino;
-      dst.parent->children.erase(dst.final_name);
-      UnrefInode(doomed);
     }
     // Both directory reads block; re-check what was resolved before them.
     const uint64_t dst_dir = dst.parent->ino;
@@ -711,6 +714,15 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
     }
     Inode* src_parent = GetInode(src_dir);
     Inode* dst_parent = GetInode(dst_dir);
+    // A concurrent create may have bound the target name while the reads
+    // blocked; rename replaces it just as it would have before.
+    auto target = dst_parent->children.find(dst.final_name);
+    if (target != dst_parent->children.end() && target->second == src_ino) {
+      return {0, 0};
+    }
+    if (int err = UnbindRenameTarget(dst_parent, dst.final_name, GetInode(src_ino)); err != 0) {
+      return {0, err};
+    }
     src_parent->children.erase(src.final_name);
     dst_parent->children[dst.final_name] = src_ino;
     if (GetInode(src_ino)->type == kTypeDir && src_dir != dst_dir) {
@@ -724,6 +736,29 @@ VfsResult Vfs::Rename(const std::string& from, const std::string& to) {
     JournalAppend();
     return {0, 0};
   }, std::move(proto));
+}
+
+int Vfs::UnbindRenameTarget(Inode* dir, const std::string& name, const Inode* src) {
+  auto it = dir->children.find(name);
+  if (it == dir->children.end()) {
+    return 0;
+  }
+  Inode* target = GetInode(it->second);
+  if (target->type == kTypeDir) {
+    if (src->type != kTypeDir) {
+      return kEISDIR;
+    }
+    if (!target->children.empty()) {
+      return kENOTEMPTY;
+    }
+  } else if (src->type == kTypeDir) {
+    return kENOTDIR;
+  }
+  target->nlink -= (target->type == kTypeDir) ? 2 : 1;
+  const uint64_t doomed = target->ino;
+  dir->children.erase(it);
+  UnrefInode(doomed);
+  return 0;
 }
 
 VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
@@ -754,6 +789,9 @@ VfsResult Vfs::Link(const std::string& existing, const std::string& link) {
     if (parent == nullptr || node == nullptr || node->nlink == 0) {
       return {0, kENOENT};
     }
+    if (parent->children.count(dst.final_name) != 0) {
+      return {0, kEEXIST};  // created by another thread meanwhile
+    }
     parent->children[dst.final_name] = src_ino;
     node->nlink++;
     TouchDirData(parent);
@@ -778,6 +816,9 @@ VfsResult Vfs::Symlink(const std::string& target, const std::string& link) {
     Inode* parent = ReadDirBlocks(dst.parent);
     if (parent == nullptr) {
       return {0, kENOENT};
+    }
+    if (parent->children.count(dst.final_name) != 0) {
+      return {0, kEEXIST};  // created by another thread while the read blocked
     }
     Inode* node = NewInode(kTypeSymlink);
     node->symlink_target = target;
@@ -1516,6 +1557,11 @@ bool Vfs::Exists(const std::string& path) {
 uint64_t Vfs::FileSize(const std::string& path) {
   ResolveOutcome r = Resolve(path, /*follow_last=*/true, /*timed=*/false);
   return r.err == 0 ? r.node->size : 0;
+}
+
+uint32_t Vfs::LinkCount(const std::string& path) {
+  ResolveOutcome r = Resolve(path, /*follow_last=*/false, /*timed=*/false);
+  return r.err == 0 ? r.node->nlink : 0;
 }
 
 void Vfs::MustMkdirAll(const std::string& path) {

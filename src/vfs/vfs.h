@@ -175,6 +175,11 @@ class Vfs {
 
   // Journal blocks written since construction (diagnostics / tests).
   uint64_t JournalCommitBlocks() const { return journal_committed_blocks_; }
+  // Live inodes, named or only held open (diagnostics / tests).
+  size_t InodeCount() const { return inodes_.size(); }
+  // Link count of the node at path, 0 if it does not resolve (untimed;
+  // diagnostics / tests).
+  uint32_t LinkCount(const std::string& path);
 
  private:
   struct Inode;
@@ -208,6 +213,10 @@ class Vfs {
   // re-check an operation makes after blocking, since a concurrent rename,
   // unlink or rmdir may have removed or rebound the entry it resolved.
   bool StillNamed(uint64_t dir_ino, const std::string& name, uint64_t ino) const;
+  // Rename's replace step: unbinds whatever `name` in `dir` names so `src`
+  // can take its place. Returns the errno that forbids the replacement (a
+  // directory vs non-directory mismatch, a non-empty directory), else 0.
+  int UnbindRenameTarget(Inode* dir, const std::string& name, const Inode* src);
   void JournalAppend();            // buffer one metadata transaction
   void JournalCommit();            // write buffered txns + barrier
   void DeviceBarrier();

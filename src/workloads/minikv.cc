@@ -127,8 +127,10 @@ void MiniKv::Put(uint64_t key) {
   // Wait until applied by some batch writer, or until we are the front.
   // SimCondVar has no attached mutex, so the monitor discipline is explicit:
   // unlock, wait, relock. Simulated threads only yield at blocking points,
-  // so no wakeup can be lost between Unlock() and Wait().
-  while (!self.applied && (writers_.front() != &self || writer_active_)) {
+  // so no wakeup can be lost between Unlock() and Wait(). The queue is empty
+  // when another writer has already taken us into its batch.
+  while (!self.applied &&
+         (writers_.empty() || writers_.front() != &self || writer_active_)) {
     mu_->Unlock();
     cv_->Wait();
     mu_->Lock();

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "src/sim/simulation.h"
 #include "src/storage/storage_stack.h"
@@ -332,6 +333,126 @@ TEST_F(VfsTest, Dup2ClosesTarget) {
     vfs.Close(fa);
     vfs.Close(fb);
   });
+}
+
+// open_count counts open file descriptions, so a dup'ed file is still freed
+// (and its dirty pages discarded) once every fd is closed and it is unlinked.
+TEST_F(VfsTest, DupedFileFreedAfterCloseAndUnlink) {
+  RunInSim([](Vfs& vfs) {
+    const size_t inodes = vfs.InodeCount();
+    int32_t fd = static_cast<int32_t>(vfs.Open("/f", kOpenWrite | kOpenCreate).value);
+    const uint64_t dirty_before_write = vfs.stack().cache().DirtyCount();
+    EXPECT_EQ(vfs.Write(fd, 1 << 20).value, 1 << 20);
+    EXPECT_GE(vfs.stack().cache().DirtyCount(), dirty_before_write + 256);
+    int32_t dup = static_cast<int32_t>(vfs.Dup(fd).value);
+    int32_t dup2 = static_cast<int32_t>(vfs.Dup2(fd, 40).value);
+    EXPECT_EQ(dup2, 40);
+    EXPECT_TRUE(vfs.Close(fd).ok());
+    EXPECT_TRUE(vfs.Close(dup).ok());
+    EXPECT_EQ(vfs.InodeCount(), inodes + 1);  // fd 40 still holds it
+    EXPECT_TRUE(vfs.Close(dup2).ok());
+    EXPECT_TRUE(vfs.Unlink("/f").ok());
+    EXPECT_EQ(vfs.InodeCount(), inodes);
+    EXPECT_EQ(vfs.stack().cache().DirtyCount(), dirty_before_write);
+  });
+}
+
+// Two threads create the same name while both block in the HDD read of the
+// parent's directory block. Exactly one create may win; the other must see
+// the name taken (mkdir/symlink/link/O_EXCL: EEXIST, plain O_CREAT: opens
+// it), and no inode or parent link may be counted twice.
+class CreateRaceTest : public ::testing::Test {
+ protected:
+  // Runs `create` on two threads at once; returns their results.
+  std::pair<VfsResult, VfsResult> Race(const std::function<VfsResult(Vfs&)>& create) {
+    sim::Simulation sim(1);
+    storage::StorageStack stack(&sim, storage::MakeNamedConfig("hdd"));
+    Vfs vfs(&sim, &stack, MakeFsProfile("ext4"));
+    vfs.MustMkdirAll("/d");
+    vfs.MustCreateFile("/src", 4096);
+    const size_t inodes = vfs.InodeCount();
+    std::pair<VfsResult, VfsResult> results;
+    sim.Spawn("a", [&] { results.first = create(vfs); });
+    sim.Spawn("b", [&] { results.second = create(vfs); });
+    sim.Run();
+    EXPECT_EQ(sim.UnfinishedThreads(), 0u);
+    EXPECT_TRUE(vfs.Exists("/d/x"));
+    new_inodes_ = vfs.InodeCount() - inodes;
+    parent_links_ = vfs.LinkCount("/d");
+    src_links_ = vfs.LinkCount("/src");
+    return results;
+  }
+  size_t new_inodes_ = 0;
+  uint32_t parent_links_ = 0;
+  uint32_t src_links_ = 0;
+};
+
+TEST_F(CreateRaceTest, MkdirOneWinner) {
+  auto [a, b] = Race([](Vfs& vfs) { return vfs.Mkdir("/d/x"); });
+  EXPECT_EQ(a.ok() + b.ok(), 1);
+  EXPECT_EQ(a.ok() ? b.err : a.err, kEEXIST);
+  EXPECT_EQ(new_inodes_, 1u);
+  EXPECT_EQ(parent_links_, 3u);  // ".", its entry in "/", and x's ".."
+}
+
+TEST_F(CreateRaceTest, SymlinkOneWinner) {
+  auto [a, b] = Race([](Vfs& vfs) { return vfs.Symlink("/src", "/d/x"); });
+  EXPECT_EQ(a.ok() + b.ok(), 1);
+  EXPECT_EQ(a.ok() ? b.err : a.err, kEEXIST);
+  EXPECT_EQ(new_inodes_, 1u);
+}
+
+TEST_F(CreateRaceTest, LinkOneWinner) {
+  auto [a, b] = Race([](Vfs& vfs) { return vfs.Link("/src", "/d/x"); });
+  EXPECT_EQ(a.ok() + b.ok(), 1);
+  EXPECT_EQ(a.ok() ? b.err : a.err, kEEXIST);
+  EXPECT_EQ(new_inodes_, 0u);
+  EXPECT_EQ(src_links_, 2u);
+}
+
+TEST_F(CreateRaceTest, ExclusiveOpenOneWinner) {
+  auto [a, b] = Race([](Vfs& vfs) {
+    VfsResult r = vfs.Open("/d/x", kOpenWrite | kOpenCreate | kOpenExcl);
+    if (r.ok()) {
+      vfs.Close(static_cast<int32_t>(r.value));
+    }
+    return r;
+  });
+  EXPECT_EQ(a.ok() + b.ok(), 1);
+  EXPECT_EQ(a.ok() ? b.err : a.err, kEEXIST);
+  EXPECT_EQ(new_inodes_, 1u);
+}
+
+TEST_F(CreateRaceTest, PlainCreateOpensTheWinnersFile) {
+  auto [a, b] = Race([](Vfs& vfs) {
+    VfsResult r = vfs.Open("/d/x", kOpenWrite | kOpenCreate);
+    if (r.ok()) {
+      vfs.Close(static_cast<int32_t>(r.value));
+    }
+    return r;
+  });
+  EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(b.ok());
+  EXPECT_EQ(new_inodes_, 1u);
+}
+
+TEST_F(CreateRaceTest, RenameReplacesAConcurrentCreate) {
+  // The first thread renames /src onto /d/x while the second creates /d/x;
+  // either way /src's inode ends up at /d/x and no created file survives.
+  int calls = 0;
+  auto [a, b] = Race([&calls](Vfs& vfs) {
+    if (calls++ == 0) {
+      return vfs.Rename("/src", "/d/x");
+    }
+    VfsResult r = vfs.Open("/d/x", kOpenWrite | kOpenCreate);
+    if (r.ok()) {
+      vfs.Close(static_cast<int32_t>(r.value));
+    }
+    return r;
+  });
+  EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(b.ok());
+  EXPECT_EQ(new_inodes_, 0u);
 }
 
 TEST_F(VfsTest, GetDirEntries) {
