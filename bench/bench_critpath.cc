@@ -21,7 +21,6 @@
 #include "src/core/serialize.h"
 #include "src/core/suite.h"
 #include "src/obs/critpath.h"
-#include "src/obs/log.h"
 #include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
 #include "src/workloads/magritte.h"
@@ -184,14 +183,6 @@ int Main(int argc, char** argv) {
   opt.target.fs_profile = StringFlag(argc, argv, "fs", "ext4");
   if (BoolFlag(argc, argv, "pacing")) {
     opt.target.replay.pacing = core::PacingMode::kNatural;
-  }
-  const std::string backend = StringFlag(argc, argv, "backend", "");
-  if (!backend.empty() &&
-      !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
-    obs::LogError("artc_critpath", "unknown --backend value",
-                  {{"backend", backend},
-                   {"expected", "fibers or threads"}});
-    return 2;
   }
   opt.jobs = FlagValue(argc, argv, "jobs", 0);
   opt.json_path = StringFlag(argc, argv, "json", "");

@@ -23,7 +23,6 @@
 #include "src/core/artc.h"
 #include "src/core/suite.h"
 #include "src/obs/obs.h"
-#include "src/sim/simulation.h"
 #include "src/util/thread_pool.h"
 #include "src/workloads/micro.h"
 #include "src/workloads/workload.h"
@@ -110,7 +109,6 @@ int Main(int argc, char** argv) {
   std::vector<const core::CompiledBenchmark*> benches(copies, &bench);
   core::SimTarget target;
   target.seed = seed;
-  target.sim_backend = sim::SimBackend::kFibers;
 
   auto serial_start = std::chrono::steady_clock::now();
   std::vector<RunMetrics> serial_runs;

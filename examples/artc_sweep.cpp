@@ -1,9 +1,9 @@
 // artc_sweep: fleet-scale what-if exploration over one traced workload.
 // Expands a declarative scenario grid (replay method x fs profile x storage
-// hardware x I/O scheduler x cache size x schedule policy x seed x backend
-// x pacing), compiles the trace once per replay method, replays every cell
-// on the host thread pool, and streams one JSONL row per cell with the
-// virtual end time, critical-path stall attribution, and fs-state digest.
+// hardware x I/O scheduler x cache size x schedule policy x seed x pacing),
+// compiles the trace once per replay method, replays every cell on the host
+// thread pool, and streams one JSONL row per cell with the virtual end time,
+// critical-path stall attribution, and fs-state digest.
 // Progress is live on the obs metrics plane (--metrics-port / ARTC_*), and
 // any row can be re-run alone, fully instrumented, with --drill.
 //

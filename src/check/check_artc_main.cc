@@ -100,18 +100,9 @@ int Main(int argc, char** argv) {
   opt.exhaustive_preemption_bound =
       static_cast<uint32_t>(FlagValue(argc, argv, "preemptions", 0));
   opt.exhaustive_budget = static_cast<uint32_t>(FlagValue(argc, argv, "budget", 64));
-  opt.differential_backend = FlagValue(argc, argv, "differential", 1) != 0;
   opt.repro_dir = out_dir;
   opt.repro_obs_trace = FlagValue(argc, argv, "obs-repro", 0) != 0;
   opt.target.storage = storage::MakeNamedConfig(StringFlag(argc, argv, "storage", "ssd"));
-  const std::string backend = StringFlag(argc, argv, "backend", "");
-  if (!backend.empty() &&
-      !sim::ParseSimBackendName(backend, &opt.target.sim_backend)) {
-    obs::LogError("check_artc", "unknown --backend value",
-                  {{"backend", backend},
-                   {"expected", "fibers or threads"}});
-    return 2;
-  }
 
   sim::ScheduleSpec repro_spec;
   if (!schedule.empty() && !sim::ParseScheduleSpec(schedule, &repro_spec)) {

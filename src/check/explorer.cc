@@ -56,7 +56,7 @@ uint64_t SnapshotDigest(const trace::FsSnapshot& snapshot) {
 PolicyRunResult ReplayCompiledUnderPolicy(const core::CompiledBenchmark& bench,
                                           const core::SimTarget& target,
                                           sim::SchedulePolicy* policy) {
-  sim::Simulation sim(target.seed, target.sim_backend);
+  sim::Simulation sim(target.seed);
   sim.SetSchedulePolicy(policy);
   storage::StorageStack stack(&sim, target.storage);
   vfs::Vfs fs(&sim, &stack, vfs::MakeFsProfile(target.fs_profile),
@@ -167,7 +167,6 @@ bool FailsWith(const trace::TraceBundle& b, const sim::ScheduleSpec& spec,
   sub.random_schedules = 0;
   sub.pct_schedules = 0;
   sub.exhaustive_preemption_bound = 0;
-  sub.differential_backend = false;
   sub.repro_dir.clear();
   sub.repro_obs_trace = false;
 
@@ -343,23 +342,6 @@ ExploreResult ExploreBundle(const trace::TraceBundle& bundle, const ExploreOptio
           }
         }
       }
-    }
-  }
-
-  if (opt.differential_backend) {
-    core::SimTarget threads_target = opt.target;
-    threads_target.sim_backend = sim::SimBackend::kThreads;
-    PolicyRunResult other = ReplayCompiledUnderPolicy(ex.bench, threads_target, nullptr);
-    if (other.end_time != ex.baseline.end_time || other.switches != ex.baseline.switches ||
-        other.digest != ex.baseline.digest ||
-        other.report.wall_time != ex.baseline.report.wall_time) {
-      ex.result.violations++;
-      ex.Problem(StrFormat(
-          "kThreads backend diverged from fibers: end %lld vs %lld, switches %llu vs %llu",
-          static_cast<long long>(other.end_time),
-          static_cast<long long>(ex.baseline.end_time),
-          static_cast<unsigned long long>(other.switches),
-          static_cast<unsigned long long>(ex.baseline.switches)));
     }
   }
 

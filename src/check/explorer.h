@@ -1,7 +1,7 @@
 // Schedule-space explorer: replays one compiled benchmark under many
 // distinct legal schedules and checks every run against the invariant
 // oracle plus the cross-run invariants (schedule-invariant final file-system
-// state, bounded virtual end-time spread, fiber/thread backend identity).
+// state, bounded virtual end-time spread).
 // On a violation it dumps a minimized repro — a trace-bundle slice plus the
 // schedule spec that re-triggers it — and optionally a PR 3 chrome-trace of
 // the failing run.
@@ -31,11 +31,6 @@ struct ExploreOptions {
   // of choice points grows with every context switch.
   uint32_t exhaustive_preemption_bound = 0;
   uint32_t exhaustive_budget = 64;  // max extra schedules
-
-  // Re-run the default schedule on the kThreads backend and require
-  // bit-identical timing/state (the PR 1 parity property, now standing
-  // guard in the fuzz loop).
-  bool differential_backend = false;
 
   // Replay end times may legitimately vary with the schedule (different
   // cache/seek patterns), but only within reason; flag runs slower AND

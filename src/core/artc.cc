@@ -14,7 +14,7 @@ SimReplayResult ReplayCompiledOnSimTarget(const CompiledBenchmark& bench,
   if (target.obs) {
     obs::Enable();
   }
-  sim::Simulation sim(target.seed, target.sim_backend);
+  sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());
   storage::StorageStack stack(&sim, target.storage);
@@ -59,7 +59,7 @@ MultiReplayResult ReplayConcurrentlyOnSimTarget(
   if (target.obs) {
     obs::Enable();
   }
-  sim::Simulation sim(target.seed, target.sim_backend);
+  sim::Simulation sim(target.seed);
   std::unique_ptr<sim::SchedulePolicy> policy = sim::MakeSchedulePolicy(target.schedule);
   sim.SetSchedulePolicy(policy.get());
   storage::StorageStack stack(&sim, target.storage);

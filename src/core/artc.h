@@ -28,10 +28,7 @@ struct SimTarget {
   EmulationPolicy emulation;
   ReplayOptions replay;     // pacing
   uint64_t seed = 1;        // simulated-scheduler seed
-  // Context-switch backend for the simulation. The build default (fibers
-  // unless -DARTC_SIM_BACKEND=threads) is right for everything except
-  // differential backend testing.
-  sim::SimBackend sim_backend = sim::DefaultSimBackend();
+  sim::SimBackend sim_backend = sim::SimBackend::kFibers;  // kept only because perfbench/ reads it
   // Scheduler choice-point policy for the simulation. kDefault keeps the
   // built-in seeded-random scheduler and is bit-identical to not setting a
   // policy at all; kRandom / kPct explore alternative legal interleavings
@@ -51,8 +48,8 @@ struct SimReplayResult {
   EdgeStats edge_stats;
   uint64_t model_warnings = 0;
   // Simulator diagnostics for the whole run (init + replay): total simulated
-  // context switches and the final virtual clock. Identical across backends
-  // for the same seed; the throughput bench asserts exactly that.
+  // context switches and the final virtual clock. A pure function of the
+  // benchmark and the target; tests/virtual_golden_test.cc pins both.
   uint64_t sim_switches = 0;
   TimeNs sim_end_time = 0;
   // Storage-stack counters for this run only (the obs registry accumulates

@@ -1,17 +1,29 @@
 #include "src/sim/simulation.h"
 
-#include <exception>
-#include <thread>
-
 #include "src/obs/obs.h"
 #include "src/util/check.h"
+
+// ThreadSanitizer keeps one shadow stack per thread and does not notice a
+// swapcontext; the fiber annotations below give every fiber its own and
+// tell TSan which one runs. gcc defines __SANITIZE_THREAD__, clang reports
+// the feature.
+#if defined(__SANITIZE_THREAD__)
+#define ARTC_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ARTC_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef ARTC_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace artc::sim {
 namespace {
 
 // Thrown out of blocking primitives when the Simulation is destroyed while
 // threads are still blocked (e.g., a deadlocked test); unwinds the simulated
-// thread so its stack (fiber) or host thread can be reclaimed.
+// thread so its fiber stack can be reclaimed.
 struct SimShutdown {};
 
 // Owned stack for one fiber. Replay threads call through the VFS and the
@@ -54,28 +66,35 @@ struct ThreadState {
   std::vector<ThreadState*> joiners;
   Simulation* sim = nullptr;
 
-  // Host-thread backend.
-  std::thread host;
-
-  // Fiber backend. The stack comes from the pool lazily on first schedule,
-  // so spawned-but-never-run threads cost only this record.
+  // The stack comes from the pool lazily on first schedule, so
+  // spawned-but-never-run threads cost only this record.
   ucontext_t ctx;
   std::unique_ptr<char[]> stack;
   bool fiber_started = false;
+  void* tsan_fiber = nullptr;  // ThreadSanitizer builds only
 };
 
 namespace {
 
-// The simulated thread currently executing on this host thread. With fibers
-// everything runs on the host thread that called Run(), so the scheduler
-// updates this around every fiber switch; with host threads each simulated
-// thread sets it once from its own host thread.
+// The simulated thread currently executing on this host thread. Everything
+// runs on the host thread that called Run(), so the scheduler updates this
+// around every fiber switch.
 thread_local ThreadState* g_current = nullptr;
 
 // Argument hand-off into a starting fiber: makecontext's entry function
 // takes no usable pointer argument, so FiberSwitchTo parks the target here
 // immediately before the first swap into it.
 thread_local ThreadState* g_fiber_launch = nullptr;
+
+// Tells TSan that the next swapcontext/setcontext enters `fiber`. Switches
+// synchronize (no __tsan_switch_to_fiber_no_sync): the fibers of one
+// Simulation run strictly one at a time, so one fiber's writes
+// happen-before the next fiber's reads.
+inline void TsanSwitchTo([[maybe_unused]] void* fiber) {
+#ifdef ARTC_TSAN_FIBERS
+  __tsan_switch_to_fiber(fiber, 0);
+#endif
+}
 
 }  // namespace
 
@@ -93,62 +112,26 @@ void Simulation::FiberMain(ThreadState* t) {
     aborted = true;
   }
   FinishThread(t, aborted);
-  // Returning ends the fiber; uc_link resumes the scheduler context.
+  // Leave through setcontext, never by returning: TSan must hear about the
+  // switch back to the scheduler before it happens, and a return after that
+  // (through uc_link) would pop this fiber's frames off the scheduler's TSan
+  // shadow stack. The scheduler then releases this fiber's stack.
+  TsanSwitchTo(sched_tsan_fiber_);
+  setcontext(&sched_ctx_);
+  ARTC_CHECK_MSG(false, "setcontext into the scheduler failed");
 }
 
-SimBackend DefaultSimBackend() {
-#ifdef ARTC_SIM_DEFAULT_BACKEND_THREADS
-  return SimBackend::kThreads;
-#else
-  return SimBackend::kFibers;
-#endif
-}
-
-bool ParseSimBackendName(const std::string& name, SimBackend* out) {
-  if (name == "fibers") {
-    *out = SimBackend::kFibers;
-  } else if (name == "threads") {
-    *out = SimBackend::kThreads;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* SimBackendName(SimBackend backend) {
-  switch (backend) {
-    case SimBackend::kFibers:
-      return "fibers";
-    case SimBackend::kThreads:
-      return "threads";
-  }
-  return "?";
-}
-
-Simulation::Simulation(uint64_t seed, SimBackend backend)
-    : backend_(backend), rng_(seed) {}
+Simulation::Simulation(uint64_t seed, SimBackend /*backend*/) : rng_(seed) {}
 
 Simulation::~Simulation() {
-  shutdown_.store(true);
-  if (backend_ == SimBackend::kFibers) {
-    // Resume every unfinished fiber so it throws SimShutdown out of its
-    // blocking primitive, unwinding its stack (running destructors) before
-    // the stacks are freed. Index-based: an unwinding destructor may Spawn.
-    for (size_t i = 0; i < threads_.size(); ++i) {
-      ThreadState* t = threads_[i].get();
-      if (t->fiber_started && t->state != ThreadState::Run::kDone) {
-        FiberSwitchTo(t);
-      }
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(token_mu_);
-    token_cv_.notify_all();
-  }
-  for (auto& t : threads_) {
-    if (t->host.joinable()) {
-      t->host.join();
+  shutdown_ = true;
+  // Resume every unfinished fiber so it throws SimShutdown out of its
+  // blocking primitive, unwinding its stack (running destructors) before
+  // the stacks are freed. Index-based: an unwinding destructor may Spawn.
+  for (size_t i = 0; i < threads_.size(); ++i) {
+    ThreadState* t = threads_[i].get();
+    if (t->fiber_started && t->state != ThreadState::Run::kDone) {
+      FiberSwitchTo(t);
     }
   }
 }
@@ -170,9 +153,6 @@ SimThreadId Simulation::Spawn(std::string name, std::function<void()> body) {
     obs::DefaultTracer().SetTrackName(obs::ClockDomain::kVirtual, raw->id,
                                       raw->name);
   }
-  if (backend_ == SimBackend::kThreads) {
-    raw->host = std::thread([this, raw] { HostThreadMain(raw); });
-  }
   return raw->id;
 }
 
@@ -189,8 +169,6 @@ void Simulation::FinishThread(ThreadState* t, bool aborted) {
   t->joiners.clear();
 }
 
-// ---- Fiber backend ----
-
 void Simulation::FiberSwitchTo(ThreadState* t) {
   if (!t->fiber_started) {
     if (!free_stacks_.empty()) {
@@ -204,62 +182,32 @@ void Simulation::FiberSwitchTo(ThreadState* t) {
     ARTC_CHECK(getcontext(&t->ctx) == 0);
     t->ctx.uc_stack.ss_sp = t->stack.get();
     t->ctx.uc_stack.ss_size = kFiberStackBytes;
-    t->ctx.uc_link = &sched_ctx_;
+    t->ctx.uc_link = nullptr;  // FiberMain never returns
     makecontext(&t->ctx, &Simulation::FiberEntry, 0);
     t->fiber_started = true;
+#ifdef ARTC_TSAN_FIBERS
+    t->tsan_fiber = __tsan_create_fiber(0);
+#endif
     g_fiber_launch = t;
   }
+#ifdef ARTC_TSAN_FIBERS
+  sched_tsan_fiber_ = __tsan_get_current_fiber();
+#endif
   g_current = t;
+  TsanSwitchTo(t->tsan_fiber);
   ARTC_CHECK(swapcontext(&sched_ctx_, &t->ctx) == 0);
   g_current = nullptr;
   if (t->state == ThreadState::Run::kDone && t->stack != nullptr) {
-    // The fiber ran to completion (or unwound) and resumed us through
-    // uc_link; its stack is dead and goes back to the pool.
+    // The fiber ran to completion (or unwound) and resumed us; its stack is
+    // dead and goes back to the pool.
     free_stacks_.push_back(std::move(t->stack));
     stacks_in_use_--;
+#ifdef ARTC_TSAN_FIBERS
+    __tsan_destroy_fiber(t->tsan_fiber);
+    t->tsan_fiber = nullptr;
+#endif
   }
 }
-
-// ---- Host-thread backend ----
-
-void Simulation::HostThreadMain(ThreadState* t) {
-  // Wait to be scheduled for the first time.
-  {
-    std::unique_lock<std::mutex> lk(token_mu_);
-    token_cv_.wait(lk, [&] {
-      return (running_ == t && !scheduler_turn_) || shutdown_.load();
-    });
-    if (shutdown_.load()) {
-      t->state = ThreadState::Run::kDone;
-      return;
-    }
-  }
-  g_current = t;
-  bool aborted = false;
-  try {
-    t->body();
-  } catch (const SimShutdown&) {
-    aborted = true;
-  }
-  FinishThread(t, aborted);
-  if (!aborted) {
-    // Hand the token back to the scheduler permanently.
-    std::lock_guard<std::mutex> lk(token_mu_);
-    running_ = nullptr;
-    scheduler_turn_ = true;
-    token_cv_.notify_all();
-  }
-}
-
-void Simulation::HostThreadSwitchTo(ThreadState* t) {
-  std::unique_lock<std::mutex> lk(token_mu_);
-  running_ = t;
-  scheduler_turn_ = false;
-  token_cv_.notify_all();
-  token_cv_.wait(lk, [&] { return scheduler_turn_; });
-}
-
-// ---- Shared scheduler ----
 
 size_t Simulation::ChooseIndex(ChoicePoint point,
                                const std::vector<ThreadState*>& candidates) {
@@ -295,11 +243,7 @@ void Simulation::RunThread(ThreadState* t) {
   // one runnable thread observes 1, matching run-queue-depth convention.
   ARTC_OBS_OBSERVE("sim.run_queue_depth", ready_.size() + 1);
   t->state = ThreadState::Run::kRunning;
-  if (backend_ == SimBackend::kFibers) {
-    FiberSwitchTo(t);
-  } else {
-    HostThreadSwitchTo(t);
-  }
+  FiberSwitchTo(t);
 }
 
 PendingEvent* Simulation::AllocEvent() {
@@ -361,21 +305,9 @@ void Simulation::YieldToScheduler(ThreadState* t, bool runnable_again) {
   } else {
     t->state = ThreadState::Run::kBlocked;
   }
-  if (backend_ == SimBackend::kFibers) {
-    ARTC_CHECK(swapcontext(&t->ctx, &sched_ctx_) == 0);
-    if (shutdown_.load()) {
-      throw SimShutdown{};
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> lk(token_mu_);
-  running_ = nullptr;
-  scheduler_turn_ = true;
-  token_cv_.notify_all();
-  token_cv_.wait(lk, [&] {
-    return (running_ == t && !scheduler_turn_) || shutdown_.load();
-  });
-  if (shutdown_.load()) {
+  TsanSwitchTo(sched_tsan_fiber_);
+  ARTC_CHECK(swapcontext(&t->ctx, &sched_ctx_) == 0);
+  if (shutdown_) {
     throw SimShutdown{};
   }
 }
@@ -452,7 +384,7 @@ bool Simulation::CancelCallback(uint64_t id) {
 }
 
 void Simulation::WakeThread(ThreadState* t) {
-  if (shutdown_.load()) {
+  if (shutdown_) {
     return;  // unwinding destructors may notify already-unwound threads
   }
   ARTC_CHECK(t->state == ThreadState::Run::kBlocked);

@@ -8,21 +8,13 @@
 // replayer be written in plain blocking style while virtual time advances
 // deterministically.
 //
-// Two backends implement that transfer:
-//
-//  - kFibers (default): every simulated thread is a user-space stackful
-//    coroutine (ucontext) with its own owned stack, all running on the one
-//    host thread that called Run(). A simulated context switch is a
-//    `swapcontext` — a few dozen nanoseconds, no kernel involvement.
-//  - kThreads: every simulated thread is a real std::thread and the run
-//    token is handed over a mutex/condition_variable pair — two kernel
-//    wakeups per simulated switch. Kept as a differential-testing oracle
-//    for the fiber backend (and for sanitizers that cannot follow stack
-//    switching, e.g. TSan).
-//
-// Both backends share the scheduler itself (ready list, event queue, RNG),
-// so a run is bit-identical across backends: same seed, same schedule, same
-// virtual end time, same switch count.
+// Every simulated thread is a user-space stackful coroutine (ucontext fiber)
+// with its own owned stack, all running on the one host thread that called
+// Run(). A simulated context switch is a `swapcontext` — a few dozen
+// nanoseconds, no kernel involvement. Under ThreadSanitizer every fiber
+// switch is annotated (simulation.cc), so TSan follows the fibers: switches
+// within one Simulation are synchronizing, while two simulations on
+// different host threads that share unsynchronized memory are reported.
 //
 // One Simulation is one serial time domain. Host parallelism comes from
 // running many independent simulations at once, one per util::ThreadPool
@@ -37,13 +29,10 @@
 
 #include <ucontext.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -65,20 +54,8 @@ inline constexpr SimThreadId kInvalidThread = UINT32_MAX;
 // per-thread vectors.
 constexpr uint32_t LocalIndexOfThread(SimThreadId id) { return id; }
 
-// Context-switch backend for a Simulation instance.
-enum class SimBackend : uint8_t {
-  kFibers,   // user-space stackful coroutines (one host thread total)
-  kThreads,  // one host OS thread per simulated thread, condvar token
-};
-
-// The build-selected default backend (CMake option ARTC_SIM_BACKEND,
-// "fibers" unless configured otherwise).
-SimBackend DefaultSimBackend();
-
-// Parses "fibers" / "threads" (the CLI --backend= vocabulary); returns
-// false on anything else, leaving *out untouched.
-bool ParseSimBackendName(const std::string& name, SimBackend* out);
-const char* SimBackendName(SimBackend backend);
+// Kept only because perfbench/ still names it; fibers are the one backend.
+enum class SimBackend : uint8_t { kFibers };
 
 // Internal per-thread record. Exposed only so SimCondVar can hold pointers.
 struct ThreadState;
@@ -163,16 +140,14 @@ class SimBarrier {
 
 class Simulation {
  public:
-  explicit Simulation(uint64_t seed, SimBackend backend = DefaultSimBackend());
+  // The SimBackend parameter is kept only because perfbench/ still passes one.
+  explicit Simulation(uint64_t seed, SimBackend backend = SimBackend::kFibers);
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   // Current virtual time.
   TimeNs Now() const { return now_; }
-
-  // Backend this instance was constructed with.
-  SimBackend backend() const { return backend_; }
 
   // Creates a simulated thread. May be called before Run() or from within a
   // running simulated thread; the new thread becomes runnable at the
@@ -231,7 +206,7 @@ class Simulation {
   // *simultaneously outstanding* events, not the total scheduled.
   size_t allocated_event_count() const { return event_pool_.size(); }
 
-  // Fiber-stack pool diagnostics (kFibers). Stacks are returned to a free
+  // Fiber-stack pool diagnostics. Stacks are returned to a free
   // pool when their thread finishes and are reused by later spawns, so
   // `allocated` is the high-water mark of concurrently *live* threads, not
   // the total ever spawned.
@@ -263,16 +238,10 @@ class Simulation {
   PendingEvent* AllocEvent();
   void ReleaseEvent(PendingEvent* ev);
 
-  // Fiber backend.
   static void FiberEntry();            // makecontext entry point
   void FiberSwitchTo(ThreadState* t);  // scheduler/destructor -> fiber
-  void FiberMain(ThreadState* t);      // fiber trampoline body
+  [[noreturn]] void FiberMain(ThreadState* t);  // fiber trampoline body
 
-  // Host-thread backend.
-  void HostThreadMain(ThreadState* t);  // host-thread trampoline
-  void HostThreadSwitchTo(ThreadState* t);
-
-  SimBackend backend_;
   TimeNs now_ = 0;
   Rng rng_;
   SchedulePolicy* policy_ = nullptr;     // non-owning
@@ -291,23 +260,18 @@ class Simulation {
   std::vector<PendingEvent*> free_events_;
   std::unordered_map<uint64_t, PendingEvent*> live_callbacks_;
 
-  // Fiber backend: the scheduler's own context; fibers resume it when they
-  // yield or finish (also the uc_link of every fiber).
+  // The scheduler's own context; fibers resume it when they yield or finish.
   ucontext_t sched_ctx_;
+  // The scheduler's TSan fiber (the host thread that switched in); null
+  // unless built with ThreadSanitizer.
+  void* sched_tsan_fiber_ = nullptr;
   // Stacks of finished threads, reused by later spawns.
   std::vector<std::unique_ptr<char[]>> free_stacks_;
   size_t stacks_allocated_ = 0;
   size_t stacks_in_use_ = 0;
 
-  // Host-thread backend: synchronization implementing the run token.
-  std::mutex token_mu_;
-  std::condition_variable token_cv_;
-  ThreadState* running_ = nullptr;  // simulated thread holding the token
-  bool scheduler_turn_ = true;
-
-  // Set by the destructor; read by unwinding simulated threads (possibly on
-  // other host threads under the kThreads backend).
-  std::atomic<bool> shutdown_{false};
+  // Set by the destructor; read by unwinding simulated threads.
+  bool shutdown_ = false;
 };
 
 // RAII lock for SimMutex.

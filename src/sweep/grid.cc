@@ -103,12 +103,15 @@ uint64_t Fnv1a64(const std::string& s) {
 }
 
 std::string CellConfig::Echo() const {
+  // The literal "backend=fibers" is what the retired backend axis always
+  // rendered; ids are content addresses that stored rows and --drill use,
+  // so the string they hash keeps it.
   return StrFormat(
       "trace=%s,method=%s,fs=%s,storage=%s,iosched=%s,cache_mb=%lld,"
-      "schedule=%s,seed=%llu,backend=%s,pacing=%s",
+      "schedule=%s,seed=%llu,backend=fibers,pacing=%s",
       trace_name.c_str(), method.c_str(), fs.c_str(), storage.c_str(),
       iosched.c_str(), static_cast<long long>(cache_mb), schedule.c_str(),
-      static_cast<unsigned long long>(seed), backend.c_str(), pacing.c_str());
+      static_cast<unsigned long long>(seed), pacing.c_str());
 }
 
 std::string CellConfig::Id() const {
@@ -138,10 +141,6 @@ core::SimTarget CellConfig::MakeTarget() const {
   ARTC_CHECK_MSG(sim::ParseScheduleSpec(schedule, &spec),
                  "unvalidated schedule '%s'", schedule.c_str());
   t.schedule = spec;
-  sim::SimBackend be;
-  ARTC_CHECK_MSG(sim::ParseSimBackendName(backend, &be),
-                 "unvalidated backend '%s'", backend.c_str());
-  t.sim_backend = be;
   t.replay.pacing =
       pacing == "natural" ? core::PacingMode::kNatural : core::PacingMode::kAfap;
   return t;
@@ -163,7 +162,6 @@ void SweepGrid::Normalize() {
   if (cache_mb.empty()) cache_mb = {d.cache_mb};
   if (schedule.empty()) schedule = {d.schedule};
   if (seed.empty()) seed = {d.seed};
-  if (backend.empty()) backend = {d.backend};
   if (pacing.empty()) pacing = {d.pacing};
 }
 
@@ -214,14 +212,6 @@ bool SweepGrid::Validate(std::string* error) const {
           v.c_str()));
     }
   }
-  for (const std::string& v : backend) {
-    sim::SimBackend be;
-    if (!sim::ParseSimBackendName(v, &be)) {
-      return fail(StrFormat(
-          "unknown backend '%s' (expected fibers or threads)",
-          v.c_str()));
-    }
-  }
   for (const std::string& v : pacing) {
     if (!OneOf(v, kPacings)) {
       return fail(StrFormat("unknown pacing '%s' (expected %s)", v.c_str(),
@@ -233,8 +223,7 @@ bool SweepGrid::Validate(std::string* error) const {
 
 size_t SweepGrid::CellCount() const {
   return method.size() * fs.size() * storage.size() * iosched.size() *
-         cache_mb.size() * schedule.size() * seed.size() * backend.size() *
-         pacing.size();
+         cache_mb.size() * schedule.size() * seed.size() * pacing.size();
 }
 
 bool SweepGrid::Expand(const std::string& trace_name,
@@ -252,21 +241,18 @@ bool SweepGrid::Expand(const std::string& trace_name,
           for (int64_t cm : cache_mb) {
             for (const std::string& sch : schedule) {
               for (uint64_t sd : seed) {
-                for (const std::string& be : backend) {
-                  for (const std::string& pc : pacing) {
-                    CellConfig c;
-                    c.trace_name = trace_name;
-                    c.method = m;
-                    c.fs = f;
-                    c.storage = st;
-                    c.iosched = io;
-                    c.cache_mb = cm;
-                    c.schedule = sch;
-                    c.seed = sd;
-                    c.backend = be;
-                    c.pacing = pc;
-                    out->push_back(std::move(c));
-                  }
+                for (const std::string& pc : pacing) {
+                  CellConfig c;
+                  c.trace_name = trace_name;
+                  c.method = m;
+                  c.fs = f;
+                  c.storage = st;
+                  c.iosched = io;
+                  c.cache_mb = cm;
+                  c.schedule = sch;
+                  c.seed = sd;
+                  c.pacing = pc;
+                  out->push_back(std::move(c));
                 }
               }
             }
@@ -341,8 +327,6 @@ bool ParseGridText(const std::string& text, SweepGrid* out,
         }
         out->seed.push_back(n);
       }
-    } else if (key == "backend") {
-      out->backend = values;
     } else if (key == "pacing") {
       out->pacing = values;
     } else {
@@ -370,7 +354,7 @@ bool ParseGridFile(const std::string& path, SweepGrid* out,
 const std::vector<std::string>& GridAxisNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
       "method",   "fs",   "storage", "iosched", "cache_mb",
-      "schedule", "seed", "backend", "pacing"};
+      "schedule", "seed", "pacing"};
   return *names;
 }
 
@@ -386,7 +370,6 @@ std::string CellAxisValue(const CellConfig& cell, const std::string& axis) {
   if (axis == "seed") {
     return StrFormat("%llu", static_cast<unsigned long long>(cell.seed));
   }
-  if (axis == "backend") return cell.backend;
   if (axis == "pacing") return cell.pacing;
   ARTC_CHECK_MSG(false, "unknown grid axis '%s'", axis.c_str());
   return "";

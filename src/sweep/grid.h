@@ -2,7 +2,7 @@
 //
 // A SweepGrid is a small set of axes — replay method, file-system profile,
 // storage hardware, I/O scheduler, cache size, schedule policy, seed,
-// simulation backend, pacing — each holding one or more values. Expand()
+// pacing — each holding one or more values. Expand()
 // takes the cross product and yields one CellConfig per combination, in a
 // deterministic order (axes vary last-axis-fastest in the declaration order
 // below), so cell index assignment is reproducible run to run.
@@ -27,7 +27,6 @@
 #include "src/core/artc.h"
 #include "src/core/modes.h"
 #include "src/sim/schedule.h"
-#include "src/sim/simulation.h"
 
 namespace artc::sweep {
 
@@ -52,7 +51,6 @@ struct CellConfig {
   int64_t cache_mb = -1;
   std::string schedule = "default";  // sim::ScheduleSpec::ToString() form
   uint64_t seed = 1;
-  std::string backend = "fibers";    // fibers | threads
   std::string pacing = "afap";       // afap | natural
 
   // Canonical one-line rendering, "k=v,k=v,..." in a fixed key order. This
@@ -78,7 +76,6 @@ struct SweepGrid {
   std::vector<int64_t> cache_mb;
   std::vector<std::string> schedule;
   std::vector<uint64_t> seed;
-  std::vector<std::string> backend;
   std::vector<std::string> pacing;
 
   // Fills empty axes with their defaults (see CellConfig initializers).

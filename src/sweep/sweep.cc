@@ -237,7 +237,6 @@ std::string CellStats::ToJsonl(bool include_host_time) const {
   AppendIntField(&out, "cache_mb", config.cache_mb, &first);
   AppendStrField(&out, "schedule", config.schedule, &first);
   AppendIntField(&out, "seed", static_cast<long long>(config.seed), &first);
-  AppendStrField(&out, "backend", config.backend, &first);
   AppendStrField(&out, "pacing", config.pacing, &first);
   AppendIntField(&out, "end_ns", end_ns, &first);
   AppendIntField(&out, "sim_end_ns", sim_end_ns, &first);

@@ -754,7 +754,12 @@ int Vfs::UnbindRenameTarget(Inode* dir, const std::string& name, const Inode* sr
   } else if (src->type == kTypeDir) {
     return kENOTDIR;
   }
-  target->nlink -= (target->type == kTypeDir) ? 2 : 1;
+  if (target->type == kTypeDir) {
+    target->nlink -= 2;  // its own entry and its "."
+    dir->nlink--;        // the victim's ".." linked `dir`
+  } else {
+    target->nlink--;
+  }
   const uint64_t doomed = target->ino;
   dir->children.erase(it);
   UnrefInode(doomed);

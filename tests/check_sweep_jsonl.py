@@ -36,7 +36,7 @@ HEX16_RE = re.compile(r"^[0-9a-f]{16}$")
 # (key, required type). bool is an int subclass in python, so int checks
 # explicitly reject bool below.
 STR_KEYS = ("cell", "trace", "method", "fs", "storage", "iosched",
-            "schedule", "backend", "pacing", "digest")
+            "schedule", "pacing", "digest")
 INT_KEYS = ("idx", "cache_mb", "seed", "end_ns", "sim_end_ns", "switches",
             "events", "failed_events", "exec_ns", "stall_ns", "pacing_ns",
             "idle_ns", "storage_ns", "storage_cache_ns",
@@ -162,9 +162,9 @@ def check_rows(text, expected_cells=None):
 GOOD_ROW = {
     "cell": "7f3a1b2c4d5e6f01", "idx": 0, "trace": "random_readers",
     "method": "artc", "fs": "ext4", "storage": "hdd", "iosched": "base",
-    "cache_mb": -1, "schedule": "default", "seed": 1, "backend": "fibers",
-    "pacing": "afap", "end_ns": 100, "sim_end_ns": 100, "switches": 7,
-    "events": 12, "failed_events": 0, "digest": "00ff00ff00ff00ff",
+    "cache_mb": -1, "schedule": "default", "seed": 1, "pacing": "afap",
+    "end_ns": 100, "sim_end_ns": 100, "switches": 7, "events": 12,
+    "failed_events": 0, "digest": "00ff00ff00ff00ff",
     "exec_ns": 60, "stall_ns": 30, "pacing_ns": 0, "idle_ns": 10,
     "storage_ns": 50, "storage_cache_ns": 5, "storage_media_read_ns": 40,
     "storage_media_write_ns": 0, "storage_writeback_ns": 5,

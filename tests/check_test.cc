@@ -326,10 +326,9 @@ TEST(Explorer, MultiScheduleCleanOnGeneratedTrace) {
   opt.seed = 5;
   opt.random_schedules = 4;
   opt.pct_schedules = 2;
-  opt.differential_backend = true;
   ExploreResult result = ExploreBundle(bundle, opt);
   EXPECT_TRUE(result.ok()) << (result.problems.empty() ? "" : result.problems[0]);
-  EXPECT_GE(result.schedules_run, 7u);  // baseline + 4 random + 2 pct + differential
+  EXPECT_GE(result.schedules_run, 7u);  // baseline + 4 random + 2 pct
   EXPECT_GT(result.hb_edges, 0u);
 
   // Schedule-invariant final state: every run converged on one digest.

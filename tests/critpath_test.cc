@@ -22,6 +22,8 @@
 #include "src/sim/schedule.h"
 #include "src/storage/storage_stack.h"
 #include "src/workloads/magritte.h"
+#include "src/workloads/micro.h"
+#include "src/workloads/workload.h"
 
 namespace artc::obs {
 namespace {
@@ -396,6 +398,40 @@ TEST_P(CritPathFuzz, InvariantsHoldUnderRandomSchedules) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CritPathFuzz, testing::Values(1, 2, 3, 4));
+
+// ---- Determinism on a multithreaded replay -------------------------------
+
+// Critical-path analysis consumes the replay report and compiled benchmark
+// only: running it must not perturb the next replay, and identical replays
+// must yield identical stall attributions.
+TEST(CritPathDeterminism, IdenticalReplaysGiveIdenticalAttributions) {
+  workloads::RandomReaders::Options opt;
+  opt.threads = 4;
+  opt.reads_per_thread = 60;
+  opt.file_bytes = 64ULL << 20;
+  workloads::RandomReaders workload(opt);
+  workloads::TracedRun run = workloads::TraceWorkload(workload, {});
+  CompiledBenchmark bench = core::Compile(run.trace, run.snapshot, {});
+
+  core::SimTarget target;
+  target.seed = 999;
+  core::SimReplayResult first = core::ReplayCompiledOnSimTarget(bench, target);
+  const CritPathReport base = AnalyzeSimReplay(bench, first);
+  core::SimReplayResult second = core::ReplayCompiledOnSimTarget(bench, target);
+  ASSERT_EQ(first.sim_end_time, second.sim_end_time);
+  ASSERT_EQ(first.sim_switches, second.sim_switches);
+  ASSERT_EQ(first.report.wall_time, second.report.wall_time);
+
+  const CritPathReport cp = AnalyzeSimReplay(bench, second);
+  EXPECT_EQ(base.segments.size(), cp.segments.size());
+  EXPECT_EQ(base.end_time, cp.end_time);
+  EXPECT_EQ(base.exec_ns, cp.exec_ns);
+  EXPECT_EQ(base.stall_ns, cp.stall_ns);
+  EXPECT_EQ(base.pacing_ns, cp.pacing_ns);
+  EXPECT_EQ(base.stall_unattributed, cp.stall_unattributed);
+  EXPECT_EQ(base.stall_by_rule_kind, cp.stall_by_rule_kind);
+  EXPECT_EQ(base.stall_by_resource, cp.stall_by_resource);
+}
 
 // ---- End-to-end on a Magritte trace (the acceptance scenario) ------------
 

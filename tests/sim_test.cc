@@ -348,14 +348,114 @@ TEST(Simulation, DestructorReleasesBlockedThreads) {
   sim->Spawn("stuck", [&] { cv.Wait(); });
   sim->Run();
   EXPECT_EQ(sim->UnfinishedThreads(), 1u);
-  sim.reset();  // must join cleanly
+  sim.reset();  // must unwind the blocked fiber and free its stack
+}
+
+TEST(Simulation, DeadlockAcrossPrimitivesUnwindsCleanly) {
+  // Threads stuck on a condvar, on a mutex and on a join: destroying the
+  // simulation must unwind all three fibers, including the one that still
+  // holds the mutex.
+  auto sim = std::make_unique<Simulation>(1);
+  SimCondVar cv(sim.get());
+  SimMutex mu(sim.get());
+  SimThreadId holder = sim->Spawn("holder", [&] {
+    mu.Lock();
+    cv.Wait();
+  });
+  sim->Spawn("locker", [&] {
+    sim->Sleep(Us(1));
+    mu.Lock();
+  });
+  sim->Spawn("joiner", [&] { sim->Join(holder); });
+  sim->Run();
+  EXPECT_EQ(sim->UnfinishedThreads(), 3u);
+  sim.reset();
+}
+
+// A deliberately messy program exercising every scheduling primitive:
+// seeded ready-list picks, sleeps, condvars (NotifyOne's RNG choice),
+// mutex contention, spawn-from-thread, join, callbacks and cancellation.
+struct ChaosResult {
+  TimeNs end_time = 0;
+  uint64_t switches = 0;
+  std::vector<int> order;
+
+  bool operator==(const ChaosResult& o) const {
+    return end_time == o.end_time && switches == o.switches && order == o.order;
+  }
+};
+
+ChaosResult RunChaos(uint64_t seed) {
+  Simulation sim(seed);
+  ChaosResult r;
+  SimCondVar cv(&sim);
+  SimMutex mu(&sim);
+  bool go = false;
+  for (int i = 0; i < 6; ++i) {
+    sim.Spawn("waiter", [&, i] {
+      while (!go) {
+        cv.Wait();
+      }
+      sim.Sleep(Us(10 + i));
+      mu.Lock();
+      sim.Sleep(Us(50));
+      r.order.push_back(i);
+      mu.Unlock();
+    });
+  }
+  sim.Spawn("spawner", [&] {
+    sim.Sleep(Us(5));
+    SimThreadId child = sim.Spawn("child", [&] {
+      sim.Sleep(Us(7));
+      r.order.push_back(100);
+    });
+    sim.Join(child);
+    go = true;
+    cv.NotifyAll();
+    for (int k = 0; k < 3; ++k) {
+      sim.Sleep(Us(20));
+      cv.NotifyOne();  // no waiters most of the time; consumes no RNG then
+      r.order.push_back(200 + k);
+    }
+  });
+  uint64_t cancelled = sim.ScheduleCallback(Ms(1), [&] { r.order.push_back(-1); });
+  sim.ScheduleCallback(Us(3), [&] {
+    r.order.push_back(300);
+    sim.CancelCallback(cancelled);
+    sim.ScheduleCallback(sim.Now() + Us(1), [&] { r.order.push_back(301); });
+  });
+  r.end_time = sim.Run();
+  r.switches = sim.switch_count();
+  return r;
+}
+
+// Exact values. The mutex hand-off order follows the seeded picks, so each
+// seed pins a different order; end time and switch count do not depend on
+// the seed.
+TEST(Simulation, ChaosProgramPinnedValues) {
+  const std::vector<std::vector<int>> orders = {
+      {300, 301, 100, 200, 201, 0, 202, 5, 4, 3, 2, 1},  // seed 1
+      {300, 301, 100, 200, 201, 0, 202, 2, 3, 4, 5, 1},  // seed 2
+      {300, 301, 100, 200, 201, 0, 202, 4, 3, 5, 2, 1},  // seed 3
+      {300, 301, 100, 200, 201, 0, 202, 5, 2, 4, 3, 1},  // seed 4
+  };
+  for (uint64_t seed = 1; seed <= orders.size(); ++seed) {
+    const ChaosResult r = RunChaos(seed);
+    EXPECT_EQ(r.end_time, 322000) << "seed " << seed;
+    EXPECT_EQ(r.switches, 37u) << "seed " << seed;
+    EXPECT_EQ(r.order, orders[seed - 1]) << "seed " << seed;
+  }
+}
+
+TEST(Simulation, ChaosProgramDeterministicPerSeed) {
+  EXPECT_EQ(RunChaos(9), RunChaos(9));
 }
 
 TEST(Simulation, FiberStackPoolReclaimsExitedThreads) {
   // A chain of 100 short-lived threads, at most two alive at once: the
   // high-water mark of allocated stacks must track *live* threads, not the
   // total ever spawned.
-  Simulation sim(3, SimBackend::kFibers);
+  Simulation sim(3);
   sim.Spawn("root", [&sim] {
     for (int i = 0; i < 100; ++i) {
       SimThreadId child = sim.Spawn("child", [&sim] { sim.Sleep(Us(1)); });

@@ -1,8 +1,7 @@
 // Sweep engine tests: grid parsing and validation, content-addressed cell
 // ids, byte-identical JSONL emission across worker counts, per-cell parity
-// with a standalone replay of the same configuration (on the fibers AND
-// threads simulation backends), aggregate consistency, and drill-down
-// parity with the sweep row it drills into.
+// with a standalone replay of the same configuration, aggregate
+// consistency, and drill-down parity with the sweep row it drills into.
 #include <map>
 #include <set>
 #include <sstream>
@@ -107,10 +106,9 @@ TEST(SweepGridTest, RejectsUnknownAxesAndValues) {
   ASSERT_TRUE(ParseGridText("cache_mb = 0\n", &bad_cache, &error));
   EXPECT_FALSE(bad_cache.Expand("t", &cells, &error));
 
-  SweepGrid bad_backend;
-  ASSERT_TRUE(ParseGridText("backend = parallel\n", &bad_backend, &error));
-  EXPECT_FALSE(bad_backend.Expand("t", &cells, &error));
-  EXPECT_NE(error.find("parallel"), std::string::npos);
+  // The simulation backend is not an axis any more.
+  EXPECT_FALSE(ParseGridText("backend = fibers\n", &grid, &error));
+  EXPECT_NE(error.find("backend"), std::string::npos);
 }
 
 TEST(SweepGridTest, CellIdsAreContentAddressedAndUnique) {
@@ -168,13 +166,12 @@ TEST(SweepTest, JsonlRowsAreByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(r1.failed_cells, r4.failed_cells);
 }
 
-TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndThreadsBackends) {
-  // Same grid twice over the backend axis: every cell's virtual results
-  // must be bit-identical to a standalone replay of that configuration.
+TEST(SweepTest, CellsMatchStandaloneReplay) {
+  // Every cell's virtual results must be bit-identical to a standalone
+  // replay of that configuration.
   SweepGrid grid;
   grid.method = {"artc"};
   grid.storage = {"hdd", "ssd"};
-  grid.backend = {"fibers", "threads"};
   SweepPlan plan = BuildSmallPlan(std::move(grid));
 
   SweepReport report;
@@ -190,21 +187,6 @@ TEST(SweepTest, CellsMatchStandaloneReplayOnFibersAndThreadsBackends) {
     EXPECT_EQ(stats.sim_end_ns, standalone.sim_end_time) << cell.Echo();
     EXPECT_EQ(stats.sim_switches, standalone.sim_switches) << cell.Echo();
     EXPECT_EQ(stats.digest, check::SnapshotDigest(final_state)) << cell.Echo();
-  }
-
-  // The backend axis itself must be invisible in the virtual results:
-  // fibers and threads cells that agree on everything else agree on
-  // end time and digest.
-  std::map<std::string, std::pair<TimeNs, uint64_t>> by_config;
-  for (const CellStats& stats : report.stats) {
-    CellConfig scrubbed = stats.config;
-    scrubbed.backend = "*";
-    auto [it, inserted] = by_config.emplace(
-        scrubbed.Echo(), std::make_pair(stats.end_ns, stats.digest));
-    if (!inserted) {
-      EXPECT_EQ(it->second.first, stats.end_ns) << scrubbed.Echo();
-      EXPECT_EQ(it->second.second, stats.digest) << scrubbed.Echo();
-    }
   }
 }
 

@@ -245,6 +245,27 @@ TEST_F(VfsTest, RenameTypeMismatch) {
   });
 }
 
+// Replacing an empty directory drops the link its ".." held on its parent.
+TEST_F(VfsTest, RenameOverDirectoryDropsParentLink) {
+  RunInSim([](Vfs& vfs) {
+    vfs.MustMkdirAll("/p/a");
+    vfs.MustMkdirAll("/p/b");
+    ASSERT_EQ(vfs.LinkCount("/p"), 4u);
+    ASSERT_TRUE(vfs.Rename("/p/a", "/p/b").ok());
+    EXPECT_EQ(vfs.LinkCount("/p"), 3u);
+    EXPECT_EQ(vfs.LinkCount("/p/b"), 2u);
+
+    vfs.MustMkdirAll("/q/mover");
+    vfs.MustMkdirAll("/r/victim");
+    ASSERT_EQ(vfs.LinkCount("/q"), 3u);
+    ASSERT_EQ(vfs.LinkCount("/r"), 3u);
+    ASSERT_TRUE(vfs.Rename("/q/mover", "/r/victim").ok());
+    EXPECT_EQ(vfs.LinkCount("/q"), 2u);
+    EXPECT_EQ(vfs.LinkCount("/r"), 3u);
+    EXPECT_EQ(vfs.LinkCount("/r/victim"), 2u);
+  });
+}
+
 TEST_F(VfsTest, HardLinksShareFile) {
   RunInSim([](Vfs& vfs) {
     vfs.MustCreateFile("/f", 4096);

@@ -1,5 +1,5 @@
 // Golden virtual-time values for three fixed end-to-end pipelines: a traced
-// random-readers run replayed on both Simulation backends, the compile of
+// random-readers run replayed on the fiber simulator, the compile of
 // the 104k-action random-readers trace, and the compile + replay + critical
 // path of the 200k-action lockserver trace. Every number is a pure function
 // of the simulator, the compiler and the seeds, so none depends on the host
@@ -16,7 +16,6 @@
 #include "src/core/artc.h"
 #include "src/core/compiler.h"
 #include "src/obs/critpath.h"
-#include "src/sim/simulation.h"
 #include "src/workloads/micro.h"
 #include "src/workloads/synthetic_gen.h"
 #include "src/workloads/workload.h"
@@ -34,29 +33,19 @@ core::CompiledBenchmark CompileRandomReaders(uint32_t threads, uint32_t reads,
   return core::Compile(traced.trace, traced.snapshot, copt);
 }
 
-// random-readers-8 (8 threads x 2000 reads), replay seed 1. The two
-// backends share the scheduler, so both must land on the same values.
-void ExpectRandomReaders8Replay(sim::SimBackend backend) {
+// random-readers-8 (8 threads x 2000 reads), replay seed 1.
+TEST(VirtualGolden, RandomReaders8ReplayOnFibers) {
   const core::CompiledBenchmark bench = CompileRandomReaders(8, 2000, {});
   EXPECT_EQ(bench.actions.size(), 16016u);
   EXPECT_EQ(bench.thread_actions.size(), 8u);
 
   core::SimTarget target;
   target.seed = 1;
-  target.sim_backend = backend;
   const core::SimReplayResult result = core::ReplayCompiledOnSimTarget(bench, target);
   EXPECT_EQ(result.sim_switches, 16067u);
   EXPECT_EQ(result.sim_end_time, 36628850280);
   EXPECT_EQ(result.report.wall_time, 36628850280);
   EXPECT_EQ(result.report.failed_events, 0u);
-}
-
-TEST(VirtualGolden, RandomReaders8ReplayOnFibers) {
-  ExpectRandomReaders8Replay(sim::SimBackend::kFibers);
-}
-
-TEST(VirtualGolden, RandomReaders8ReplayOnThreads) {
-  ExpectRandomReaders8Replay(sim::SimBackend::kThreads);
 }
 
 // random-readers-16 (16 threads x 6500 reads): a read-only workload on
